@@ -1,4 +1,4 @@
-// Command benchmilp measures the branch-and-bound worker pool on the
+// Command benchmilp measures the sequential branch-and-bound search on the
 // deterministic hard-knapsack family at paper scale (5·N binaries for N
 // sites, paper §IV) and writes the results as JSON for CI artifacts and
 // cross-machine comparison.
@@ -8,11 +8,10 @@
 //	benchmilp -out BENCH_milp.json          # full run: 4000-node budget, 3 reps
 //	benchmilp -quick -out BENCH_milp.json   # CI smoke: 1000-node budget, 1 rep
 //
-// Every (sites, workers) cell explores the same fixed node budget on the
-// same instance, so wall time is directly comparable across worker counts
-// and speedup = wall(1 worker) / wall(w workers). GOMAXPROCS is recorded
-// because speedup is bounded by the cores actually available — on a 1-CPU
-// box every ratio is ≈1 by construction.
+// Every size explores the same fixed node budget on the same instance, once
+// on the production sparse LP core and once on the dense tableau oracle, so
+// the sparse row's nodes/s is the search's throughput and the ratio of the
+// two wall times is a pure LP-core ratio.
 package main
 
 import (
@@ -28,22 +27,6 @@ import (
 	"billcap/internal/lp"
 	"billcap/internal/milp"
 )
-
-type workerResult struct {
-	Workers     int     `json:"workers"`
-	WallMS      float64 `json:"wallMS"`
-	Nodes       int     `json:"nodes"`
-	NodesPerSec float64 `json:"nodesPerSec"`
-	Speedup     float64 `json:"speedup"` // wall(1 worker) / wall(this)
-	Status      string  `json:"status"`
-	Objective   float64 `json:"objective"`
-}
-
-type instanceResult struct {
-	Sites    int            `json:"sites"`
-	Binaries int            `json:"binaries"`
-	Results  []workerResult `json:"results"`
-}
 
 // incrementalResult compares a cold hour-by-hour re-solve of the paper-hour
 // family against the incremental path (presolve + previous hour's optimum
@@ -61,9 +44,7 @@ type incrementalResult struct {
 	NodeReduction float64 `json:"nodeReduction"` // 1 − warmNodes/coldNodes
 }
 
-// coreResult is one LP core's run of the fixed-budget knapsack instance
-// (sequential workers, so node ordering — and thus the explored tree — is
-// identical across cores and the wall-clock ratio is a pure LP-core ratio).
+// coreResult is one LP core's run of the fixed-budget knapsack instance.
 type coreResult struct {
 	Core             string  `json:"core"`
 	WallMS           float64 `json:"wallMS"`
@@ -118,7 +99,6 @@ type report struct {
 	GoMaxProcs  int                 `json:"goMaxProcs"`
 	MaxNodes    int                 `json:"maxNodes"`
 	Reps        int                 `json:"reps"`
-	Instances   []instanceResult    `json:"instances"`
 	LPCores     []coreCompare       `json:"lpCores"`
 	Incremental []incrementalResult `json:"incremental"`
 	Fleet       []fleetResult       `json:"fleet,omitempty"`
@@ -170,10 +150,10 @@ func runCore(sites, maxNodes, reps int, core lp.Core) coreResult {
 	best := coreResult{Core: core.String()}
 	for r := 0; r < reps; r++ {
 		start := time.Now()
-		s := k.SolveWithOptions(milp.Options{Workers: 1, MaxNodes: maxNodes, LPCore: core})
+		s := k.SolveWithOptions(milp.Options{MaxNodes: maxNodes, LPCore: core})
 		wall := time.Since(start)
 		if s.Status != milp.Optimal && s.Status != milp.Limit {
-			log.Fatalf("lpcore %v sites=%d: unexpected status %v", core, sites, s.Status)
+			log.Fatalf("core %v sites=%d: unexpected status %v", core, sites, s.Status)
 		}
 		if best.WallMS == 0 || wall.Seconds()*1e3 < best.WallMS {
 			best.WallMS = wall.Seconds() * 1e3
@@ -247,43 +227,11 @@ func main() {
 	}
 
 	rep := report{
-		Bench:      "milp branch-and-bound worker pool, hard knapsack at 5·N binaries",
+		Bench:      "milp sequential branch and bound, hard knapsack at 5·N binaries",
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		MaxNodes:   maxNodes,
 		Reps:       reps,
 	}
-	for _, sites := range []int{5, 10, 20} {
-		k := milp.NewHardKnapsack(5*sites, 0)
-		inst := instanceResult{Sites: sites, Binaries: 5 * sites}
-		var base float64
-		for _, workers := range []int{1, 2, 4, 8} {
-			best := workerResult{Workers: workers}
-			for r := 0; r < reps; r++ {
-				start := time.Now()
-				s := k.SolveWithOptions(milp.Options{Workers: workers, MaxNodes: maxNodes})
-				wall := time.Since(start)
-				if s.Status != milp.Optimal && s.Status != milp.Limit {
-					log.Fatalf("sites=%d workers=%d: unexpected status %v", sites, workers, s.Status)
-				}
-				if best.WallMS == 0 || wall.Seconds()*1e3 < best.WallMS {
-					best.WallMS = wall.Seconds() * 1e3
-					best.Nodes = s.Nodes
-					best.NodesPerSec = float64(s.Nodes) / wall.Seconds()
-					best.Status = s.Status.String()
-					best.Objective = s.Objective
-				}
-			}
-			if workers == 1 {
-				base = best.WallMS
-			}
-			best.Speedup = base / best.WallMS
-			inst.Results = append(inst.Results, best)
-			fmt.Printf("sites=%-3d workers=%d  wall=%8.1fms  nodes=%d  %8.0f nodes/s  speedup=%.2f\n",
-				sites, workers, best.WallMS, best.Nodes, best.NodesPerSec, best.Speedup)
-		}
-		rep.Instances = append(rep.Instances, inst)
-	}
-
 	gateOK := true
 	for _, sites := range []int{5, 10, 20} {
 		cc := coreCompare{Sites: sites, Binaries: 5 * sites}
@@ -291,8 +239,8 @@ func main() {
 		cc.Sparse = runCore(sites, maxNodes, reps, lp.CoreSparse)
 		cc.SparseSpeedup = cc.Dense.WallMS / cc.Sparse.WallMS
 		rep.LPCores = append(rep.LPCores, cc)
-		fmt.Printf("lpcore sites=%-3d dense=%8.1fms (%8.0f nodes/s)  sparse=%8.1fms (%8.0f nodes/s)  speedup=%.2f\n",
-			sites, cc.Dense.WallMS, cc.Dense.NodesPerSec, cc.Sparse.WallMS, cc.Sparse.NodesPerSec, cc.SparseSpeedup)
+		fmt.Printf("sites=%-3d sparse=%8.1fms (%d nodes, %8.0f nodes/s)  dense oracle=%8.1fms (%8.0f nodes/s)  speedup=%.2f\n",
+			sites, cc.Sparse.WallMS, cc.Sparse.Nodes, cc.Sparse.NodesPerSec, cc.Dense.WallMS, cc.Dense.NodesPerSec, cc.SparseSpeedup)
 		if sites == 20 && cc.Sparse.NodesPerSec < cc.Dense.NodesPerSec {
 			gateOK = false
 		}

@@ -31,7 +31,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -40,7 +39,6 @@ import (
 	"billcap/internal/api"
 	"billcap/internal/core"
 	"billcap/internal/dcmodel"
-	"billcap/internal/lp"
 	"billcap/internal/pricing"
 )
 
@@ -82,12 +80,8 @@ func main() {
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown timeout for in-flight requests")
 	deadline := flag.Duration("decide-deadline", 5*time.Second,
 		"per-decision solver deadline; an expiring solve answers with its best incumbent (0 = unbounded)")
-	workers := flag.Int("solver-workers", 0,
-		"branch-and-bound workers per MILP solve, and the concurrency budget of /v1/decide/batch (0 = GOMAXPROCS)")
 	solverCache := flag.Bool("solver-cache", false,
 		"incremental hour-over-hour solving: MILP presolve plus a cross-hour warm-start cache (skeleton, basis, incumbent)")
-	lpcore := flag.String("lpcore", "",
-		"LP core behind every relaxation: sparse (revised simplex, the default) or dense (tableau oracle)")
 	decompose := flag.Bool("decompose", false,
 		"fleet-scale solving: route hour decisions through Lagrangian dual decomposition when the fleet exceeds -decompose-threshold sites")
 	decomposeThreshold := flag.Int("decompose-threshold", 0,
@@ -104,11 +98,6 @@ func main() {
 		"per-site battery as capMWh:maxMW:eff[:socMWh[:valueUSDPerMWh]], e.g. 40:15:0.9 — the same spec at every site (implies -tariff)")
 	flag.Parse()
 
-	core0, err := lp.ParseCore(*lpcore)
-	if err != nil {
-		log.Fatalf("capperd: %v", err)
-	}
-
 	if *variant < 0 || *variant > 3 {
 		log.Fatal("capperd: variant must be 0..3")
 	}
@@ -123,9 +112,7 @@ func main() {
 	}
 	srv, err := api.New(dcs, pols, core.Options{
 		SolveDeadline: *deadline,
-		SolverWorkers: *workers,
 		SolverCache:   *solverCache,
-		LPCore:        core0,
 
 		Decompose:          *decompose,
 		DecomposeThreshold: *decomposeThreshold,
@@ -188,7 +175,6 @@ func main() {
 	log.Printf("capperd: %d sites, %v, listening on %s", len(dcs), pricing.PolicyVariant(*variant), ln.Addr())
 	log.Printf("capperd: timeouts: readHeader=%v read=%v write=%v idle=%v decide=%v drain=%v",
 		hs.ReadHeaderTimeout, hs.ReadTimeout, hs.WriteTimeout, hs.IdleTimeout, *deadline, *drain)
-	log.Printf("capperd: solver workers: %d (0 = GOMAXPROCS = %d)", *workers, runtime.GOMAXPROCS(0))
 	if *driftRatio > 0 {
 		log.Printf("capperd: data plane: /v1/route live, drift re-solve at %.2f× predicted arrivals", *driftRatio)
 	} else {

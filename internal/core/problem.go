@@ -33,9 +33,6 @@ type SolverStats struct {
 	Timeouts int
 	// WallTime is the wall-clock time spent inside MILP solves.
 	WallTime time.Duration
-	// Workers is the largest branch-and-bound worker-pool size any solve in
-	// the decision ran with (1 = sequential).
-	Workers int
 	// PresolveFixed counts integer variables fixed by presolve before the
 	// searches started (0 unless the solve cache is enabled).
 	PresolveFixed int
@@ -75,9 +72,6 @@ func (st *SolverStats) add(sol milp.Solution) {
 	if sol.WarmStarted {
 		st.WarmStarted++
 	}
-	if sol.Workers > st.Workers {
-		st.Workers = sol.Workers
-	}
 	if sol.Status == milp.TimeLimit {
 		st.Timeouts++
 	}
@@ -116,9 +110,6 @@ func (st *SolverStats) Accumulate(o SolverStats) {
 	}
 	if o.DecompSolves > 0 {
 		st.DecompDualBound = o.DecompDualBound
-	}
-	if o.Workers > st.Workers {
-		st.Workers = o.Workers
 	}
 }
 

@@ -83,16 +83,6 @@ type Options struct {
 	// MaxSolveNodes caps branch-and-bound nodes per solve; 0 → the solver
 	// default.
 	MaxSolveNodes int
-	// SolverWorkers is the branch-and-bound worker-pool size per MILP solve
-	// (milp.Options.Workers): 0 → GOMAXPROCS, 1 → the sequential solver.
-	SolverWorkers int
-	// DeterministicSolver pins the sequential node ordering regardless of
-	// SolverWorkers, for reproducible replays and tests.
-	DeterministicSolver bool
-	// LPCore selects the simplex implementation behind every LP relaxation
-	// (lp.CoreSparse, the default, or lp.CoreDense — the dense tableau
-	// retained as the correctness oracle).
-	LPCore lp.Core
 	// Decompose enables the Lagrangian dual-decomposition solve path for
 	// fleet-scale hour decisions: when the fleet exceeds DecomposeThreshold
 	// sites, decideSteps routes each step's solve to internal/decomp —
@@ -115,16 +105,19 @@ type Options struct {
 	// before use, so decisions are bitwise-equivalent in objective to cold
 	// solves up to the solver's optimality gap.
 	SolverCache bool
+
+	// lpCore selects the simplex implementation behind every MILP
+	// relaxation. The zero value is the production sparse core; the
+	// cross-oracle tests set lp.CoreDense.
+	lpCore lp.Core
 }
 
 // solveOptions derives the per-solve MILP options from the system options.
 func (s *System) solveOptions() milp.Options {
 	return milp.Options{
-		Deadline:      s.opts.SolveDeadline,
-		MaxNodes:      s.opts.MaxSolveNodes,
-		Workers:       s.opts.SolverWorkers,
-		Deterministic: s.opts.DeterministicSolver,
-		LPCore:        s.opts.LPCore,
+		Deadline: s.opts.SolveDeadline,
+		MaxNodes: s.opts.MaxSolveNodes,
+		LPCore:   s.opts.lpCore,
 	}
 }
 

@@ -23,8 +23,6 @@ import (
 	"runtime"
 	"sync"
 	"time"
-
-	"billcap/internal/lp"
 )
 
 // Sense selects which hour decision the instance encodes.
@@ -220,8 +218,6 @@ type Options struct {
 	// Theta is the initial Polyak step scale; 0 → 1. It halves after
 	// several consecutive iterations without dual progress.
 	Theta float64
-	// LPCore selects the simplex core behind the primal polish LPs.
-	LPCore lp.Core
 }
 
 func (o Options) maxIters() int {
@@ -435,7 +431,7 @@ func Solve(inst Instance, opt Options) (Result, error) {
 	}
 
 	res := Result{Status: GapLimit}
-	rec := &recoverer{inst: &inst, core: opt.LPCore, expired: expired}
+	rec := &recoverer{inst: &inst, expired: expired}
 
 	// Bootstrap a feasible primal from the minimal state (everything off or
 	// at its cheapest mandatory minimum), greedily filled and polished —

@@ -72,7 +72,7 @@ func TestFleetDualBoundAndPrimalVsExact(t *testing.T) {
 	}
 	for _, c := range cases {
 		n := len(c.fi.Sites)
-		exact := c.fi.Build().SolveWithOptions(milp.Options{Workers: 1})
+		exact := c.fi.Build().Solve()
 		if exact.Status != milp.Optimal {
 			t.Fatalf("%s n=%d: exact MILP ended %v", c.name, n, exact.Status)
 		}

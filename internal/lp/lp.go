@@ -12,7 +12,8 @@
 //     pricing. Branching bounds and binary bounds are bound changes, not rows,
 //     so the basis never grows during branch and bound.
 //   - CoreDense: the original dense two-phase tableau simplex, retained as the
-//     correctness oracle (variable bounds are lowered into explicit rows).
+//     correctness oracle (variable bounds are lowered into explicit rows) and
+//     as the fallback when the sparse core hits a numerical wall.
 //
 // Both cores answer identically within tolerance; the cross-oracle property
 // tests in this package enforce that.
@@ -21,18 +22,16 @@ package lp
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // Core selects the simplex implementation.
 type Core int
 
-// Core values. The zero value defers to the package default (see
-// SetDefaultCore), which is the sparse revised simplex.
+// Core values. The zero value is the production sparse core; the dense
+// tableau is selected only by tests and benchmarks that use it as an oracle.
 const (
-	CoreDefault Core = iota // package default (sparse unless overridden)
-	CoreSparse              // sparse revised simplex, LU basis, Devex pricing
-	CoreDense               // dense two-phase tableau (the correctness oracle)
+	CoreSparse Core = iota // sparse revised simplex, LU basis, Devex pricing
+	CoreDense              // dense two-phase tableau (the correctness oracle)
 )
 
 // String names the core ("sparse", "dense").
@@ -42,47 +41,8 @@ func (c Core) String() string {
 		return "sparse"
 	case CoreDense:
 		return "dense"
-	case CoreDefault:
-		return "default"
 	}
 	return fmt.Sprintf("Core(%d)", int(c))
-}
-
-// ParseCore maps "dense"/"sparse" (or "" for the default) onto a Core.
-func ParseCore(s string) (Core, error) {
-	switch s {
-	case "", "default":
-		return CoreDefault, nil
-	case "sparse":
-		return CoreSparse, nil
-	case "dense":
-		return CoreDense, nil
-	}
-	return CoreDefault, fmt.Errorf("lp: unknown core %q (want dense or sparse)", s)
-}
-
-// defaultCore holds the process-wide core used when Options.Core is
-// CoreDefault. Atomic so benchmarks and servers can flip it concurrently.
-var defaultCore atomic.Int32
-
-// SetDefaultCore overrides the package-wide default core (CoreDefault resets
-// to the built-in sparse default).
-func SetDefaultCore(c Core) { defaultCore.Store(int32(c)) }
-
-// DefaultCore reports the core a zero-value Options would use.
-func DefaultCore() Core {
-	if c := Core(defaultCore.Load()); c == CoreSparse || c == CoreDense {
-		return c
-	}
-	return CoreSparse
-}
-
-// core resolves the options' core selection.
-func (o Options) core() Core {
-	if o.Core == CoreSparse || o.Core == CoreDense {
-		return o.Core
-	}
-	return DefaultCore()
 }
 
 // Rel is the relation of a constraint row to its right-hand side.

@@ -30,14 +30,14 @@ type Options struct {
 	// its own column-numbering convention; a basis recorded by the other core
 	// simply fails the screen and falls back cold.
 	CrashBasis []int
-	// Core selects the simplex implementation (sparse revised simplex by
-	// default; CoreDense forces the dense tableau oracle).
+	// Core selects the simplex implementation: the zero value is the sparse
+	// revised simplex; CoreDense forces the dense tableau oracle.
 	Core Core
 }
 
 // SolveWithOptions is Solve with explicit options.
 func (p *Problem) SolveWithOptions(opt Options) Solution {
-	if opt.core() == CoreSparse {
+	if opt.Core == CoreSparse {
 		if sol, _, ok := p.solveRevised(opt); ok {
 			return sol
 		}

@@ -41,7 +41,7 @@ type ExtraRow struct {
 // WarmStart for re-solving with extra rows. The returned Solution is the
 // base optimum (identical to Solve's).
 func (p *Problem) SolveForWarmStart(opt Options) (*WarmStart, Solution) {
-	if opt.core() == CoreSparse {
+	if opt.Core == CoreSparse {
 		sol, rs, ok := p.solveRevised(opt)
 		if ok {
 			if sol.Status != Optimal {
@@ -93,36 +93,6 @@ func (w *WarmStart) Basis() []int {
 		return out
 	}
 	return append([]int(nil), w.base.basis...)
-}
-
-// Clone returns an independent copy of the warm-start state: everything a
-// re-solve mutates is deep-copied so that concurrent branch-and-bound workers
-// can each re-solve from a private root basis without sharing any mutable
-// state. The underlying Problem is shared — it is read-only for the lifetime
-// of a solve — and on the sparse core so are the immutable LU arrays and the
-// constraint matrix.
-func (w *WarmStart) Clone() *WarmStart {
-	if w.core == CoreSparse {
-		c := *w
-		c.rev = w.rev.cloneForReSolve()
-		return &c
-	}
-	t := &tableau{
-		m:     w.base.m,
-		n:     w.base.n,
-		a:     make([][]float64, w.base.m),
-		basis: append([]int(nil), w.base.basis...),
-	}
-	for i, row := range w.base.a {
-		t.a[i] = append([]float64(nil), row...)
-	}
-	return &WarmStart{
-		problem:  w.problem,
-		base:     t,
-		artStart: w.artStart,
-		costs:    append([]float64(nil), w.costs...),
-		root:     w.root,
-	}
 }
 
 // ReSolve solves the base problem plus the extra rows, warm-starting the

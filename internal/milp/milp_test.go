@@ -110,6 +110,73 @@ func TestNodeLimit(t *testing.T) {
 	if s.Status == Limit && s.X != nil && s.Gap < 0 {
 		t.Errorf("negative gap %v", s.Gap)
 	}
+
+	// A hard instance must stop at the cap with an honest limit answer: a
+	// finite nonnegative gap with an incumbent, +Inf without one. The check
+	// runs between node expansions, so the count may pass the cap by the
+	// two children of the last expanded node, nothing more.
+	k := NewHardKnapsack(30, 5)
+	s = k.SolveWithOptions(Options{MaxNodes: 50})
+	if s.Status != Limit {
+		t.Fatalf("hard instance: status = %v under a 50-node cap, want node-limit", s.Status)
+	}
+	if s.X != nil && (s.Gap < 0 || math.IsInf(s.Gap, 1)) {
+		t.Errorf("incumbent present but gap = %v", s.Gap)
+	}
+	if s.X == nil && !math.IsInf(s.Gap, 1) {
+		t.Errorf("no incumbent but gap = %v, want +Inf", s.Gap)
+	}
+	if s.X != nil && !k.CheckSolution(s.X, 1e-6) {
+		t.Error("limit incumbent infeasible")
+	}
+	if s.Nodes > 50+2 {
+		t.Errorf("nodes = %d, past the cap of 50", s.Nodes)
+	}
+}
+
+// TestSolvesHardInstance proves the optimum of a knapsack that needs a deep
+// tree, on the production sparse core and on the dense tableau oracle: both
+// searches must close the gap and agree on the objective.
+func TestSolvesHardInstance(t *testing.T) {
+	k := NewHardKnapsack(24, 7)
+	sparse := k.Solve()
+	if sparse.Status != Optimal {
+		t.Fatalf("sparse: %v", sparse.Status)
+	}
+	dense := k.SolveWithOptions(Options{LPCore: lp.CoreDense})
+	if dense.Status != Optimal {
+		t.Fatalf("dense: %v", dense.Status)
+	}
+	if !near(sparse.Objective, dense.Objective, 1e-6*(1+math.Abs(dense.Objective))) {
+		t.Fatalf("sparse objective %v != dense oracle %v", sparse.Objective, dense.Objective)
+	}
+	if !k.CheckSolution(sparse.X, 1e-6) {
+		t.Fatal("sparse incumbent infeasible")
+	}
+	if sparse.Nodes < 10 {
+		t.Errorf("nodes = %d: the instance no longer exercises the search", sparse.Nodes)
+	}
+}
+
+// TestSearchIsReproducible pins determinism: solving the same problem twice
+// explores the same tree — same node count, same pivots — and returns the
+// same incumbent bit for bit. Replays of recorded decisions rely on it.
+func TestSearchIsReproducible(t *testing.T) {
+	k := NewHardKnapsack(18, 3)
+	want := k.Solve()
+	got := k.Solve()
+	if got.Status != want.Status || got.Nodes != want.Nodes || got.Pivots != want.Pivots {
+		t.Fatalf("re-solve diverged: status %v/%v nodes %d/%d pivots %d/%d",
+			got.Status, want.Status, got.Nodes, want.Nodes, got.Pivots, want.Pivots)
+	}
+	if got.Objective != want.Objective {
+		t.Fatalf("re-solve objective %v != first %v", got.Objective, want.Objective)
+	}
+	for i := range want.X {
+		if got.X[i] != want.X[i] {
+			t.Fatalf("x[%d] = %v != first solve's %v", i, got.X[i], want.X[i])
+		}
+	}
 }
 
 func TestPureLPPassThrough(t *testing.T) {

@@ -480,7 +480,7 @@ func Run(cfg Config, decider Decider) (Result, error) {
 		if rec.BillUSD() > hourBudget*(1+1e-9)+1e-6 {
 			res.BudgetViolationHours++
 		}
-		if real.CapViolations > 0 {
+		if rec.CapViolations > 0 {
 			res.CapViolationHours++
 		}
 		res.Solver.Accumulate(dec.Solver)
@@ -600,7 +600,6 @@ func decisionTrace(cfg Config, h int, in core.HourInput, dec core.Decision, real
 			Pivots:     dec.Solver.LPIterations,
 			Incumbents: dec.Solver.Incumbents,
 			Timeouts:   dec.Solver.Timeouts,
-			Workers:    dec.Solver.Workers,
 			WallMS:     float64(dec.Solver.WallTime.Microseconds()) / 1e3,
 
 			PresolveFixed: dec.Solver.PresolveFixed,

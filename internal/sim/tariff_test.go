@@ -280,3 +280,40 @@ func TestChaosSoakTariffLedger(t *testing.T) {
 		}
 	}
 }
+
+// TestCapViolationHoursCountMeteredDraw pins that Result.CapViolationHours
+// counts the hours whose metered grid draw — IT power plus battery charge
+// minus discharge, the reading the supplier bills and penalizes — exceeds a
+// cap, not the pre-battery IT draw. With batteries the two differ: at this
+// seed the tight-budget fortnight charges cap penalties in hours whose IT
+// draw alone is within every cap, and a count taken before the meter
+// reported 0 violation hours next to a nonzero penalty.
+func TestCapViolationHoursCountMeteredDraw(t *testing.T) {
+	cfg, err := ShortScenario(pricing.Policy1, TightBudget(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.DemandChargeUSDPerMWMonth = 1200
+	cfg.Batteries = testBatteries(len(cfg.DCs))
+	res, err := Run(cfg, mustCapping(t, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	metered := 0
+	for _, h := range res.Hours {
+		if h.CapViolations > 0 {
+			metered++
+			if h.PenaltyUSD <= 0 {
+				t.Errorf("hour %d: %d metered cap violations but no penalty", h.Hour, h.CapViolations)
+			}
+		}
+	}
+	if res.CapViolationHours != metered {
+		t.Fatalf("CapViolationHours = %d, want %d (hours whose metered draw exceeds a cap)",
+			res.CapViolationHours, metered)
+	}
+	if (res.TotalPenaltyUSD > 0) != (res.CapViolationHours > 0) {
+		t.Errorf("penalty %v with %d cap-violation hours", res.TotalPenaltyUSD, res.CapViolationHours)
+	}
+	t.Logf("%d of %d hours meter a cap violation", metered, len(res.Hours))
+}
