@@ -34,9 +34,11 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"sync"
 	"sync/atomic"
 	"time"
 
+	"billcap/internal/controller"
 	"billcap/internal/core"
 	"billcap/internal/dcmodel"
 	"billcap/internal/obs"
@@ -69,9 +71,11 @@ type Server struct {
 	// state, when non-nil (see EnableState), persists every resilient
 	// decision so a restart resumes the ladder instead of zeroing it.
 	state *stateLayer
-	// tariff, when non-nil (see EnableTariff), bills beyond plain energy
-	// charges: demand-charge peak ledger and per-site batteries.
-	tariff *tariffState
+	// tariff, when non-nil (see EnableTariff), is the billing position
+	// beyond plain energy charges: the demand-charge peak ledger and the
+	// per-site batteries. Every use goes through withTariff.
+	tariff   *controller.Position
+	tariffMu sync.Mutex
 
 	draining       atomic.Bool
 	consecDegraded atomic.Int64
@@ -110,10 +114,12 @@ func New(dcs []*dcmodel.Site, policies []pricing.Policy, opts core.Options) (*Se
 	s.handle("/v1/route", s.handleRoute)
 	s.handle("/v1/route/batch", s.handleRouteBatch)
 	s.handle("/v1/route/table", s.handleRouteTable)
-	// Routing totals live in the snapshots' striped counters; fold the
-	// deltas into the registry so every scrape is current.
+	// Routing totals live in the snapshots' striped counters and the
+	// billing position behind its lock; fold both into the registry so
+	// every scrape is current.
 	s.handle("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		s.route.FlushMetrics()
+		s.publishTariff()
 		obs.Handler(reg).ServeHTTP(w, r)
 	})
 	// Profiling surface, on the explicit handlers (not DefaultServeMux).
@@ -430,7 +436,7 @@ func (s *Server) hourInputFrom(req DecideRequest) core.HourInput {
 	if req.BudgetUSD != nil {
 		in.BudgetUSD = *req.BudgetUSD
 	}
-	s.attachTariff(&in, req)
+	s.withTariff(func(p *controller.Position) { p.Attach(&in) })
 	return in
 }
 
@@ -525,11 +531,11 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	// to route leaves the previous table live).
 	s.route.Install(in, dec)
 	// A served (non-override) decision is what the sites will do this hour:
-	// move the stored energy and ratchet the demand-charge ledger. Commit
-	// before persisting so the WAL entry carries the post-hour position.
-	s.commitTariff(req, in, dec)
-	if req.Resilient {
-		s.persistDecision(in.Hour)
+	// move the stored energy and ratchet the demand-charge ledger, then log
+	// the post-hour position.
+	if err := s.commit(req, in, dec); err != nil {
+		writeErr(w, statusFor(err), err)
+		return
 	}
 	writeJSON(w, http.StatusOK, s.decideResponseFrom(dec))
 }

@@ -1,10 +1,13 @@
 package api
 
 import (
+	"fmt"
 	"sync"
 
+	"billcap/internal/controller"
 	"billcap/internal/core"
 	"billcap/internal/obs"
+	"billcap/internal/pricing"
 	"billcap/internal/state"
 )
 
@@ -40,9 +43,10 @@ func (s *Server) EnableState(dir string) (state.RestoreInfo, error) {
 		}
 	}
 	if cp != nil {
-		if err := s.restoreTariff(cp.Peaks, cp.BatterySoCMWh); err != nil {
+		s.withTariff(func(p *controller.Position) { err = p.Restore(cp.Peaks, cp.BatterySoCMWh) })
+		if err != nil {
 			store.Close()
-			return info, err
+			return info, fmt.Errorf("api: %w", err)
 		}
 	}
 	s.state = &stateLayer{
@@ -72,7 +76,9 @@ func (s *Server) CloseState() error {
 	s.state.mu.Lock()
 	defer s.state.mu.Unlock()
 	ls := s.resilient.Snapshot()
-	peaks, socs := s.tariffSnapshot()
+	var peaks *pricing.PeakState
+	var socs []float64
+	s.withTariff(func(p *controller.Position) { peaks, socs = p.Snapshot() })
 	err := s.state.store.WriteSnapshot(state.Checkpoint{
 		Hour: nextHour(ls), Resilient: &ls, Peaks: peaks, BatterySoCMWh: socs,
 	})
@@ -82,22 +88,44 @@ func (s *Server) CloseState() error {
 	return err
 }
 
-// persistDecision durably logs the ladder state after a resilient decision.
-// Persistence failures are counted, not surfaced: the decision was already
-// made and serving it beats failing the hour over a full disk.
-func (s *Server) persistDecision(hour int) {
-	if s.state == nil {
-		return
+// commit records a served /v1/decide: unless the request is what-if
+// (explicit peakMW or batteries), the decision commits to the billing
+// position, and a resilient decision is appended to the WAL with the
+// position the commit left. Both happen under the state lock, so WAL order
+// is commit order and no entry carries a later decision's battery moves.
+func (s *Server) commit(req DecideRequest, in core.HourInput, dec core.Decision) error {
+	persist := req.Resilient && s.state != nil
+	if persist {
+		s.state.mu.Lock()
+		defer s.state.mu.Unlock()
 	}
-	s.state.mu.Lock()
-	defer s.state.mu.Unlock()
+	var peaks *pricing.PeakState
+	var socs []float64
+	var err error
+	s.withTariff(func(p *controller.Position) {
+		if req.PeakMW == nil && req.Batteries == nil {
+			draw := make([]float64, len(dec.Sites))
+			for i, a := range dec.Sites {
+				draw[i] = a.PowerMW
+			}
+			_, _, err = p.Commit(in, dec, draw, in.DemandMW)
+		}
+		peaks, socs = p.Snapshot()
+	})
+	if err != nil {
+		return fmt.Errorf("api: %w", err)
+	}
+	if !persist {
+		return nil
+	}
+	// Persistence failures are counted, not surfaced: the decision was
+	// already made and serving it beats failing the hour over a full disk.
 	ls := s.resilient.Snapshot()
-	peaks, socs := s.tariffSnapshot()
 	if err := s.state.store.Append(state.Entry{
-		Hour: hour, Resilient: &ls, Peaks: peaks, BatterySoCMWh: socs,
+		Hour: in.Hour, Resilient: &ls, Peaks: peaks, BatterySoCMWh: socs,
 	}); err != nil {
 		s.state.persistErrors.Inc()
-		return
+		return nil
 	}
 	s.state.appends++
 	if s.state.appends%snapshotEveryDecisions == 0 {
@@ -106,6 +134,7 @@ func (s *Server) persistDecision(hour int) {
 			s.state.persistErrors.Inc()
 		}
 	}
+	return nil
 }
 
 // nextHour derives a checkpoint's hour cursor from the ladder state.

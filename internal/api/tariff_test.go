@@ -1,14 +1,22 @@
 package api
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"sync"
 	"testing"
 
+	"billcap/internal/battery"
 	"billcap/internal/core"
 	"billcap/internal/dcmodel"
 	"billcap/internal/pricing"
+	"billcap/internal/state"
 )
 
 func tariffSpecs(n int) []core.BatterySpec {
@@ -186,4 +194,177 @@ func TestEnableTariffValidates(t *testing.T) {
 	if err := s.EnableTariff(0, bad); err == nil {
 		t.Error("efficiency 1.5 accepted")
 	}
+}
+
+// TestEnableTariffMisuseIsAnError pins the call-order contract: a second
+// EnableTariff, or one after EnableState, is an error rather than a panic on
+// the duplicate route or a silently dropped restored position.
+func TestEnableTariffMisuseIsAnError(t *testing.T) {
+	s := tariffServer(t, 1000, true)
+	if err := s.EnableTariff(1000, nil); err == nil {
+		t.Error("second EnableTariff accepted")
+	}
+
+	// A state dir holding a position: peak 24.97 MW and 5 MWh at site 0.
+	dir := t.TempDir()
+	writeEntry(t, dir, state.Entry{
+		Peaks:         &pricing.PeakState{PeaksMW: []float64{24.97, 0, 0}},
+		BatterySoCMWh: []float64{5, 20, 20},
+	})
+	late, err := New(dcmodel.PaperSites(), pricing.PaperPolicies(pricing.Policy1), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := late.EnableState(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer late.CloseState()
+	if err := late.EnableTariff(1000, tariffSpecs(3)); err == nil {
+		t.Error("EnableTariff after EnableState accepted, dropping the restored position")
+	}
+}
+
+// TestEnableStateRejectsWrongLengthPosition pins that a persisted position
+// for a different fleet size fails at startup, instead of every later
+// /v1/decide failing on a peak vector of the wrong length.
+func TestEnableStateRejectsWrongLengthPosition(t *testing.T) {
+	for name, e := range map[string]state.Entry{
+		"peaks": {Peaks: &pricing.PeakState{PeaksMW: []float64{24.97, 1}}},
+		"socs":  {BatterySoCMWh: []float64{5, 5}},
+	} {
+		dir := t.TempDir()
+		writeEntry(t, dir, e)
+		s := tariffServer(t, 1500, false)
+		if _, err := s.EnableState(dir); err == nil {
+			s.CloseState()
+			t.Errorf("%s: 2-site position restored into a 3-site server", name)
+		}
+	}
+}
+
+// writeEntry leaves one WAL entry in dir, as a crashed server would.
+func writeEntry(t *testing.T, dir string, e state.Entry) {
+	t.Helper()
+	store, _, _, err := state.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Append(e); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTariffConcurrentCommitsFollowWALOrder pins that a decision's commit
+// and its WAL entry happen in one critical section: under concurrent
+// resilient decides, the WAL holds one entry per decide, and replaying the
+// responses' battery actions in WAL order reproduces every entry's charge
+// and peaks exactly.
+func TestTariffConcurrentCommitsFollowWALOrder(t *testing.T) {
+	dir := t.TempDir()
+	s := tariffServer(t, 1500, true)
+	if _, err := s.EnableState(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer s.CloseState()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// Fewer decides than snapshotEveryDecisions, so no checkpoint compacts
+	// the WAL under the test.
+	const decides = 16
+	resps := make([]DecideResponse, decides)
+	var wg sync.WaitGroup
+	for h := 0; h < decides; h++ {
+		wg.Add(1)
+		go func(h int) {
+			defer wg.Done()
+			req := resilientReq(h)
+			req.TotalLambda = 1.3e12 + 0.02e12*float64(h)
+			req.PremiumLambda = 0.8 * req.TotalLambda
+			body, err := json.Marshal(req)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp, err := http.Post(ts.URL+"/v1/decide", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("hour %d: status %d", h, resp.StatusCode)
+				return
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&resps[h]); err != nil {
+				t.Error(err)
+			}
+		}(h)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	entries := readWAL(t, filepath.Join(dir, "wal.log"))
+	if len(entries) != decides {
+		t.Fatalf("WAL holds %d entries for %d decides", len(entries), decides)
+	}
+	specs := tariffSpecs(3)
+	bats := make([]*battery.Battery, len(specs))
+	for i, sp := range specs {
+		b, err := battery.New(sp.CapacityMWh, sp.MaxChargeMW, sp.MaxDischargeMW, sp.Efficiency)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.SetSoC(sp.SoCMWh)
+		bats[i] = b
+	}
+	peaks := make([]float64, len(specs))
+	seen := map[int]bool{}
+	for k, e := range entries {
+		if seen[e.Hour] {
+			t.Fatalf("entry %d: hour %d logged twice", k, e.Hour)
+		}
+		seen[e.Hour] = true
+		if e.Peaks == nil || len(e.Peaks.PeaksMW) != len(specs) || len(e.BatterySoCMWh) != len(specs) {
+			t.Fatalf("entry %d (hour %d) carries no full position: %+v", k, e.Hour, e)
+		}
+		for i, a := range resps[e.Hour].Sites {
+			g := bats[i].Discharge(math.Min(a.DischargeMW, a.PowerMW))
+			c := bats[i].Charge(a.ChargeMW)
+			peaks[i] = math.Max(peaks[i], a.PowerMW+c-g)
+			if e.BatterySoCMWh[i] != bats[i].SoC() || e.Peaks.PeaksMW[i] != peaks[i] {
+				t.Fatalf("entry %d (hour %d) site %d: logged SoC %v peak %v, replay gives %v and %v",
+					k, e.Hour, i, e.BatterySoCMWh[i], e.Peaks.PeaksMW[i], bats[i].SoC(), peaks[i])
+			}
+		}
+	}
+}
+
+// readWAL decodes every record of a WAL file.
+func readWAL(t *testing.T, path string) []state.Entry {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var out []state.Entry
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
+	for sc.Scan() {
+		var rec struct{ V state.Entry }
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, rec.V)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

@@ -165,17 +165,6 @@ func NewPeakLedger(n int) *PeakLedger {
 	return &PeakLedger{peaks: make([]float64, n)}
 }
 
-// NumSites returns the ledger's site count.
-func (l *PeakLedger) NumSites() int { return len(l.peaks) }
-
-// Peak returns site i's peak-so-far in MW (0 for out-of-range sites).
-func (l *PeakLedger) Peak(i int) float64 {
-	if i < 0 || i >= len(l.peaks) {
-		return 0
-	}
-	return l.peaks[i]
-}
-
 // Peaks returns a copy of the per-site peaks.
 func (l *PeakLedger) Peaks() []float64 {
 	return append([]float64(nil), l.peaks...)
@@ -198,13 +187,6 @@ func (l *PeakLedger) Observe(gridMW []float64) (raisedMW float64) {
 	return raisedMW
 }
 
-// Reset zeroes every peak (a new billing period).
-func (l *PeakLedger) Reset() {
-	for i := range l.peaks {
-		l.peaks[i] = 0
-	}
-}
-
 // PeakState is the ledger's serializable snapshot.
 type PeakState struct {
 	PeaksMW []float64 `json:"peaksMW"`
@@ -216,14 +198,17 @@ func (l *PeakLedger) Snapshot() PeakState {
 }
 
 // Restore replaces the ledger's contents with a snapshot, validating it the
-// way budget.Budgeter.Restore validates its state: a corrupt snapshot is an
-// error, not a silent half-restore.
+// way budget.Budgeter.Restore validates its state: a corrupt snapshot, or one
+// for a different number of sites, is an error, not a silent half-restore.
 func (l *PeakLedger) Restore(st PeakState) error {
+	if len(st.PeaksMW) != len(l.peaks) {
+		return fmt.Errorf("pricing: peak snapshot has %d sites, ledger has %d", len(st.PeaksMW), len(l.peaks))
+	}
 	for i, p := range st.PeaksMW {
 		if math.IsNaN(p) || math.IsInf(p, 0) || p < 0 {
 			return fmt.Errorf("pricing: peak snapshot has peak %v MW at site %d", p, i)
 		}
 	}
-	l.peaks = append(l.peaks[:0], st.PeaksMW...)
+	copy(l.peaks, st.PeaksMW)
 	return nil
 }

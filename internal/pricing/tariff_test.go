@@ -31,16 +31,16 @@ func TestPeakLedgerTelescopes(t *testing.T) {
 		total += l.Observe(g)
 	}
 	sum := 0.0
-	for i := 0; i < l.NumSites(); i++ {
-		sum += l.Peak(i)
+	for _, p := range l.Peaks() {
+		sum += p
 	}
 	if math.Abs(total-sum) > 1e-12 {
 		t.Fatalf("ratchet increments sum to %v, peaks sum to %v", total, sum)
 	}
 	want := []float64{15, 25, 30}
 	for i, w := range want {
-		if l.Peak(i) != w {
-			t.Errorf("peak[%d] = %v, want %v", i, l.Peak(i), w)
+		if got := l.Peaks()[i]; got != w {
+			t.Errorf("peak[%d] = %v, want %v", i, got, w)
 		}
 	}
 }
@@ -54,7 +54,7 @@ func TestPeakLedgerRejectsCorruptDraws(t *testing.T) {
 	if raised := l.Observe([]float64{math.NaN(), math.Inf(1)}); raised != 0 {
 		t.Errorf("corrupt draws raised the ledger by %v MW", raised)
 	}
-	if l.Peak(0) != 10 || l.Peak(1) != 10 {
+	if p := l.Peaks(); p[0] != 10 || p[1] != 10 {
 		t.Errorf("peaks moved on corrupt draws: %v", l.Peaks())
 	}
 }
@@ -70,9 +70,9 @@ func TestPeakLedgerSnapshotRoundTrip(t *testing.T) {
 	if err := fresh.Restore(st); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if fresh.Peak(i) != l.Peak(i) {
-			t.Errorf("peak[%d] = %v, want %v", i, fresh.Peak(i), l.Peak(i))
+	for i, want := range l.Peaks() {
+		if got := fresh.Peaks()[i]; got != want {
+			t.Errorf("peak[%d] = %v, want %v", i, got, want)
 		}
 	}
 
@@ -84,6 +84,22 @@ func TestPeakLedgerSnapshotRoundTrip(t *testing.T) {
 		if p != before[i] {
 			t.Errorf("failed restore mutated the ledger: %v", fresh.Peaks())
 		}
+	}
+}
+
+// TestPeakLedgerRestoreRejectsWrongLength pins that a snapshot taken for a
+// different fleet size is an error: a ledger resized by restore would make
+// every later hour's peak vector disagree with the site count.
+func TestPeakLedgerRestoreRejectsWrongLength(t *testing.T) {
+	l := NewPeakLedger(3)
+	l.Observe([]float64{5, 6, 7})
+	for _, peaks := range [][]float64{{24.97, 1}, {1, 2, 3, 4}, nil} {
+		if err := l.Restore(PeakState{PeaksMW: peaks}); err == nil {
+			t.Errorf("restored %d peaks into a 3-site ledger", len(peaks))
+		}
+	}
+	if got := l.Peaks(); len(got) != 3 || got[0] != 5 || got[1] != 6 || got[2] != 7 {
+		t.Errorf("failed restores changed the ledger: %v", got)
 	}
 }
 

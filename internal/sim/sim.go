@@ -17,6 +17,7 @@ import (
 	"math"
 
 	"billcap/internal/budget"
+	"billcap/internal/controller"
 	"billcap/internal/core"
 	"billcap/internal/dcmodel"
 	"billcap/internal/forecast"
@@ -295,9 +296,9 @@ func Run(cfg Config, decider Decider) (Result, error) {
 	var rinfo *state.RestoreInfo
 	startHour := 0
 
-	var rig *tariffRig
+	var pos *controller.Position
 	if cfg.hasTariff() {
-		rig, err = newTariffRig(cfg)
+		pos, err = newPosition(cfg)
 		if err != nil {
 			return Result{}, err
 		}
@@ -313,9 +314,9 @@ func Run(cfg Config, decider Decider) (Result, error) {
 		rinfo = &info
 		if cp != nil {
 			startHour = cp.Hour
-			if rig != nil {
-				if err := rig.restore(cp.Peaks, cp.BatterySoCMWh); err != nil {
-					return Result{}, err
+			if pos != nil {
+				if err := pos.Restore(cp.Peaks, cp.BatterySoCMWh); err != nil {
+					return Result{}, fmt.Errorf("sim: %w", err)
 				}
 			}
 			if capped {
@@ -390,8 +391,8 @@ func Run(cfg Config, decider Decider) (Result, error) {
 			BudgetUSD:     hourBudget,
 			Down:          cfg.Faults.down(h, len(cfg.DCs)),
 		}
-		if rig != nil {
-			rig.attach(&in, cfg)
+		if pos != nil {
+			pos.Attach(&in)
 		}
 		dec, err := decider.Decide(in)
 		if err != nil {
@@ -434,15 +435,14 @@ func Run(cfg Config, decider Decider) (Result, error) {
 			rec.SiteLambda[i] = sr.Lambda
 			rec.SitePowerMW[i] = sr.PowerMW
 		}
-		if rig != nil {
-			// The market bills the metered grid draw, not the IT draw:
-			// execute the planned battery actions against the physical
-			// batteries, then run the composed tariff (energy + demand
-			// increment + settlement) over the resulting meter readings.
-			// Cap penalties re-derive on the same meter readings — charging
+		if pos != nil {
+			// The market bills the metered grid draw, not the IT draw: the
+			// position runs the planned battery actions against the
+			// realized draw and bills the resulting meter readings (energy
+			// + demand increment + settlement) at the true demand. Cap
+			// penalties re-derive on the same meter readings — charging
 			// above the supplier cap is penalized like any other draw.
-			grid, _, _ := rig.apply(dec, in, rec.SitePowerMW)
-			bill, err := rig.tariff.HourBill(h, grid, demand, rig.ledger)
+			grid, bill, err := pos.Commit(in, dec, rec.SitePowerMW, demand)
 			if err != nil {
 				return Result{}, fmt.Errorf("sim: hour %d: %w", h, err)
 			}
@@ -451,7 +451,7 @@ func Run(cfg Config, decider Decider) (Result, error) {
 			rec.DemandUSD = bill.DemandUSD
 			rec.SettlementUSD = bill.SettlementUSD
 			rec.SiteGridMW = grid
-			rec.SiteSoCMWh = rig.socs()
+			_, rec.SiteSoCMWh = pos.Snapshot()
 			rec.PenaltyUSD, rec.CapViolations = 0, 0
 			for i, g := range grid {
 				if cap := cfg.DCs[i].PowerCapMW; g > cap+1e-9 {
@@ -507,10 +507,8 @@ func Run(cfg Config, decider Decider) (Result, error) {
 				ls := lc.Ladder().Snapshot()
 				e.Resilient = &ls
 			}
-			if rig != nil {
-				ps := rig.ledger.Snapshot()
-				e.Peaks = &ps
-				e.BatterySoCMWh = rig.socs()
+			if pos != nil {
+				e.Peaks, e.BatterySoCMWh = pos.Snapshot()
 			}
 			if err := store.Append(e); err != nil {
 				return Result{}, fmt.Errorf("sim: hour %d: %w", h, err)
@@ -528,11 +526,11 @@ func Run(cfg Config, decider Decider) (Result, error) {
 			}
 		}
 		if cfg.HaltAfterHours > 0 && h+1 >= cfg.HaltAfterHours {
-			finishResult(&res, budgeter, rig)
+			finishResult(&res, budgeter, pos)
 			return res, ErrHalted
 		}
 	}
-	finishResult(&res, budgeter, rig)
+	finishResult(&res, budgeter, pos)
 	return res, nil
 }
 
@@ -550,13 +548,13 @@ func (c Config) snapshotEvery() int {
 }
 
 // finishResult attaches the final ledger snapshots to a run's result.
-func finishResult(res *Result, budgeter *budget.Budgeter, rig *tariffRig) {
+func finishResult(res *Result, budgeter *budget.Budgeter, pos *controller.Position) {
 	if budgeter != nil {
 		bs := budgeter.Snapshot()
 		res.Budget = &bs
 	}
-	if rig != nil {
-		res.PeakMW = rig.ledger.Peaks()
+	if pos != nil {
+		res.PeakMW = pos.Peaks()
 	}
 }
 

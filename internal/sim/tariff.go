@@ -5,26 +5,11 @@ import (
 	"math"
 	"math/rand"
 
-	"billcap/internal/battery"
+	"billcap/internal/controller"
 	"billcap/internal/core"
 	"billcap/internal/forecast"
 	"billcap/internal/pricing"
 )
-
-// tariffRig is one run's tariff ground truth: the composable tariff the
-// market actually bills, the billing-period peak ledger behind its demand
-// charge, the physical batteries, and the precomputed day-ahead position
-// (commitments and synthesized real-time prices) for two-settlement runs.
-// One rig serves one Run; RunAll builds one per strategy so ledgers and
-// batteries never cross-contaminate.
-type tariffRig struct {
-	tariff pricing.Tariff
-	ledger *pricing.PeakLedger
-	bats   []*battery.Battery
-	specs  []core.BatterySpec // static battery parameters; SoCMWh refreshed per hour
-	commit [][]float64        // [site][hour] day-ahead commitments, nil outside two-settlement
-	rt     [][]float64        // [site][hour] real-time prices, nil outside two-settlement
-}
 
 // hasTariff reports whether the configuration bills anything beyond plain
 // energy charges (or operates storage, which changes the metered draw).
@@ -39,94 +24,77 @@ func (c Config) rtSpread() float64 {
 	return c.RTSpread
 }
 
-// newTariffRig assembles the run's tariff machinery. The two-settlement
-// position is struck before the month starts, exactly as a day-ahead market
-// requires: commitments follow the hour-of-week forecast fitted on the
-// history (split across sites in proportion to SLA capacity, converted to
-// grid draw through each site's true power model), and the real-time price
-// is the day-ahead price perturbed by seeded mean-one lognormal noise. Both
-// series are deterministic in the config, so a crash-restarted run re-derives
-// the identical market position.
-func newTariffRig(cfg Config) (*tariffRig, error) {
-	n := len(cfg.DCs)
-	rig := &tariffRig{
-		ledger: pricing.NewPeakLedger(n),
-		tariff: pricing.Tariff{
-			Energy:                    cfg.Policies,
-			DemandChargeUSDPerMWMonth: cfg.DemandChargeUSDPerMWMonth,
-		},
+// newPosition assembles the run's billing position over the tariff the
+// market actually bills. One position serves one Run; RunAll runs build one
+// each, so ledgers and batteries never cross-contaminate.
+func newPosition(cfg Config) (*controller.Position, error) {
+	t := pricing.Tariff{
+		Energy:                    cfg.Policies,
+		DemandChargeUSDPerMWMonth: cfg.DemandChargeUSDPerMWMonth,
 	}
-
-	if len(cfg.Batteries) > 0 {
-		rig.bats = make([]*battery.Battery, n)
-		rig.specs = make([]core.BatterySpec, n)
-		for i, spec := range cfg.Batteries {
-			if spec.CapacityMWh == 0 {
-				continue // explicit "no battery at this site"
-			}
-			b, err := battery.New(spec.CapacityMWh, spec.MaxChargeMW, spec.MaxDischargeMW, spec.Efficiency)
-			if err != nil {
-				return nil, fmt.Errorf("sim: site %d battery: %w", i, err)
-			}
-			b.SetSoC(spec.SoCMWh)
-			if spec.ValueUSDPerMWh == 0 {
-				// Default the value of stored energy to the site's mean LMP
-				// band: charge below it, discharge above it.
-				spec.ValueUSDPerMWh = cfg.Policies[i].Fn.Mean()
-			}
-			rig.bats[i] = b
-			rig.specs[i] = spec
-		}
-	}
-
 	if cfg.TwoSettlement {
-		hw, err := forecast.FitHourOfWeek(cfg.History.Rates)
+		ts, err := strikeDayAhead(cfg)
 		if err != nil {
 			return nil, err
 		}
-		pred := hw.PredictSeries(cfg.Month.Len())
+		t.Settlement = ts
+	}
+	pos, err := controller.New(t, cfg.Batteries)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
+	return pos, nil
+}
 
-		shares := make([]float64, n)
-		total := 0.0
+// strikeDayAhead strikes the two-settlement position before the month
+// starts, exactly as a day-ahead market requires: commitments follow the
+// hour-of-week forecast fitted on the history (split across sites in
+// proportion to SLA capacity, converted to grid draw through each site's
+// true power model), and the real-time price is the day-ahead price
+// perturbed by seeded mean-one lognormal noise. Both series are
+// deterministic in the config, so a crash-restarted run re-derives the
+// identical market position.
+func strikeDayAhead(cfg Config) (*pricing.TwoSettlement, error) {
+	hw, err := forecast.FitHourOfWeek(cfg.History.Rates)
+	if err != nil {
+		return nil, err
+	}
+	pred := hw.PredictSeries(cfg.Month.Len())
+
+	n := len(cfg.DCs)
+	shares := make([]float64, n)
+	total := 0.0
+	for i, dc := range cfg.DCs {
+		maxLam, err := dc.Queue.MaxThroughput(dc.MaxServers, dc.RespSLAHours)
+		if err != nil {
+			return nil, fmt.Errorf("sim: site %s: %w", dc.Name, err)
+		}
+		shares[i] = maxLam
+		total += maxLam
+	}
+
+	ts := &pricing.TwoSettlement{CommitMW: make([][]float64, n), RTUSDPerMWh: make([][]float64, n)}
+	for i := range ts.CommitMW {
+		ts.CommitMW[i] = make([]float64, cfg.Month.Len())
+		ts.RTUSDPerMWh[i] = make([]float64, cfg.Month.Len())
+	}
+	sigma := cfg.rtSpread()
+	rng := rand.New(rand.NewSource(cfg.RTSeed + 1))
+	for h := 0; h < cfg.Month.Len(); h++ {
 		for i, dc := range cfg.DCs {
-			maxLam, err := dc.Queue.MaxThroughput(dc.MaxServers, dc.RespSLAHours)
+			lam := pred[h] * shares[i] / total
+			b, err := dc.Evaluate(lam)
 			if err != nil {
 				return nil, fmt.Errorf("sim: site %s: %w", dc.Name, err)
 			}
-			shares[i] = maxLam
-			total += maxLam
+			c := math.Min(b.TotalMW(), dc.PowerCapMW)
+			da := cfg.Policies[i].Price(cfg.Demand[i].At(h) + c)
+			// Mean-one lognormal deviation keeps E[RT] = DA.
+			ts.CommitMW[i][h] = c
+			ts.RTUSDPerMWh[i][h] = da * math.Exp(sigma*rng.NormFloat64()-sigma*sigma/2)
 		}
-
-		rig.commit = make([][]float64, n)
-		rig.rt = make([][]float64, n)
-		for i := range rig.commit {
-			rig.commit[i] = make([]float64, cfg.Month.Len())
-			rig.rt[i] = make([]float64, cfg.Month.Len())
-		}
-		sigma := cfg.rtSpread()
-		rng := rand.New(rand.NewSource(cfg.RTSeed + 1))
-		for h := 0; h < cfg.Month.Len(); h++ {
-			for i, dc := range cfg.DCs {
-				lam := pred[h] * shares[i] / total
-				b, err := dc.Evaluate(lam)
-				if err != nil {
-					return nil, fmt.Errorf("sim: site %s: %w", dc.Name, err)
-				}
-				c := math.Min(b.TotalMW(), dc.PowerCapMW)
-				da := cfg.Policies[i].Price(cfg.Demand[i].At(h) + c)
-				// Mean-one lognormal deviation keeps E[RT] = DA.
-				rt := da * math.Exp(sigma*rng.NormFloat64()-sigma*sigma/2)
-				rig.commit[i][h] = c
-				rig.rt[i][h] = rt
-			}
-		}
-		rig.tariff.Settlement = &pricing.TwoSettlement{CommitMW: rig.commit, RTUSDPerMWh: rig.rt}
 	}
-
-	if err := rig.tariff.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	return rig, nil
+	return ts, nil
 }
 
 // TariffBlind wraps a decider so it never sees the tariff extras: every hour
@@ -146,93 +114,4 @@ func (b tariffBlind) Decide(in core.HourInput) (core.Decision, error) {
 	in.CommitMW = nil
 	in.Batteries = nil
 	return b.inner.Decide(in)
-}
-
-// attach adds the hour's tariff state to the decider's input: the demand
-// charge and peak-so-far ledger, the market position, and the batteries'
-// current state of charge.
-func (tr *tariffRig) attach(in *core.HourInput, cfg Config) {
-	if cfg.DemandChargeUSDPerMWMonth > 0 {
-		in.DemandChargeUSDPerMW = cfg.DemandChargeUSDPerMWMonth
-		in.PeakMW = tr.ledger.Peaks()
-	}
-	if tr.rt != nil {
-		h := in.Hour
-		rt := make([]float64, len(tr.rt))
-		cm := make([]float64, len(tr.commit))
-		for i := range rt {
-			rt[i] = tr.rt[i][h]
-			cm[i] = tr.commit[i][h]
-		}
-		in.RTPriceUSDPerMWh = rt
-		in.CommitMW = cm
-	}
-	if tr.bats != nil {
-		specs := make([]core.BatterySpec, len(tr.specs))
-		copy(specs, tr.specs)
-		for i, b := range tr.bats {
-			if b != nil {
-				specs[i].SoCMWh = b.SoC()
-			}
-		}
-		in.Batteries = specs
-	}
-}
-
-// apply executes the decision's planned battery actions against the physical
-// batteries and returns the resulting metered grid draw per site. Discharge
-// is clamped to the realized IT draw (no export) and to what the store
-// actually holds; charge is clamped to the battery's own rate and headroom.
-// Down sites moved no energy: their plan was zeroed with their load.
-func (tr *tariffRig) apply(dec core.Decision, in core.HourInput, realPower []float64) (grid, chg, dis []float64) {
-	grid = make([]float64, len(realPower))
-	chg = make([]float64, len(realPower))
-	dis = make([]float64, len(realPower))
-	for i, p := range realPower {
-		var c, g float64
-		if tr.bats != nil && i < len(tr.bats) && tr.bats[i] != nil &&
-			i < len(dec.Sites) && !in.SiteDown(i) {
-			plan := dec.Sites[i]
-			g = tr.bats[i].Discharge(math.Min(plan.DischargeMW, p))
-			c = tr.bats[i].Charge(plan.ChargeMW)
-		}
-		grid[i] = p + c - g
-		chg[i] = c
-		dis[i] = g
-	}
-	return grid, chg, dis
-}
-
-// socs returns the per-site battery state of charge (nil when no batteries).
-func (tr *tariffRig) socs() []float64 {
-	if tr.bats == nil {
-		return nil
-	}
-	out := make([]float64, len(tr.bats))
-	for i, b := range tr.bats {
-		if b != nil {
-			out[i] = b.SoC()
-		}
-	}
-	return out
-}
-
-// restore folds a recovered checkpoint's tariff state back into the rig.
-func (tr *tariffRig) restore(peaks *pricing.PeakState, socMWh []float64) error {
-	if peaks != nil {
-		if err := tr.ledger.Restore(*peaks); err != nil {
-			return fmt.Errorf("sim: %w", err)
-		}
-	}
-	if socMWh != nil {
-		if len(socMWh) != len(tr.bats) {
-			return fmt.Errorf("sim: restored %d battery states for %d sites", len(socMWh), len(tr.bats))
-		}
-		for i, b := range tr.bats {
-			if b != nil {
-				b.SetSoC(socMWh[i])
-			}
-		}
-	}
-	return nil
 }
