@@ -73,60 +73,80 @@ func parseBattery(s string) (core.BatterySpec, error) {
 	return spec, nil
 }
 
-func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	variant := flag.Int("variant", 1, "pricing policy variant (0-3)")
-	sites := flag.Int("sites", 3, "number of data centers (3 = the paper's; more = synthetic)")
-	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown timeout for in-flight requests")
-	deadline := flag.Duration("decide-deadline", 5*time.Second,
-		"per-decision solver deadline; an expiring solve answers with its best incumbent (0 = unbounded)")
-	solverCache := flag.Bool("solver-cache", false,
-		"incremental hour-over-hour solving: MILP presolve plus a cross-hour warm-start cache (skeleton, basis, incumbent)")
-	decompose := flag.Bool("decompose", false,
-		"fleet-scale solving: route hour decisions through Lagrangian dual decomposition when the fleet exceeds -decompose-threshold sites")
-	decomposeThreshold := flag.Int("decompose-threshold", 0,
-		"fleet size above which -decompose leaves the exact MILP (0 = 20)")
-	stateDir := flag.String("state-dir", "",
-		"directory for crash-safe state (WAL + snapshots): resilient decisions are durably logged and a restart restores the degradation ladder instead of zeroing it (empty = stateless)")
-	driftRatio := flag.Float64("drift-ratio", 2.0,
-		"observed/predicted arrival ratio beyond which the data plane re-solves asynchronously and swaps the routing table (must be > 1; 0 disables drift re-solves)")
-	tariff := flag.Bool("tariff", false,
-		"enable the tariff engine: the server holds the billing-period peak ledger and battery bank, serves GET /v1/tariff, and every non-override decision commits against them")
-	demandCharge := flag.Float64("demand-charge", 0,
-		"billing-period demand charge in $/MW-month, billed on each site's peak metered draw (implies -tariff)")
-	batterySpec := flag.String("battery", "",
-		"per-site battery as capMWh:maxMW:eff[:socMWh[:valueUSDPerMWh]], e.g. 40:15:0.9 — the same spec at every site (implies -tariff)")
-	flag.Parse()
+// config is capperd's command line.
+type config struct {
+	addr         string
+	variant      int
+	sites        int
+	drain        time.Duration
+	deadline     time.Duration
+	solverCache  bool
+	decompose    bool
+	stateDir     string
+	driftRatio   float64
+	tariff       bool
+	demandCharge float64
+	battery      string
+}
 
-	if *variant < 0 || *variant > 3 {
+// flags registers capperd's command-line flags, bound to cfg. README's flag
+// table mirrors this list (TestREADMEFlagTableMatchesFlags).
+func flags(cfg *config) *flag.FlagSet {
+	fs := flag.NewFlagSet("capperd", flag.ExitOnError)
+	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&cfg.variant, "variant", 1, "pricing policy variant (0-3)")
+	fs.IntVar(&cfg.sites, "sites", 3, "number of data centers (3 = the paper's; more = synthetic)")
+	fs.DurationVar(&cfg.drain, "drain", 10*time.Second, "graceful shutdown timeout for in-flight requests")
+	fs.DurationVar(&cfg.deadline, "decide-deadline", 5*time.Second,
+		"per-decision solver deadline; an expiring solve answers with its best incumbent (0 = unbounded)")
+	fs.BoolVar(&cfg.solverCache, "solver-cache", false,
+		"incremental hour-over-hour solving: MILP presolve plus a cross-hour warm-start cache (skeleton, basis, incumbent)")
+	fs.BoolVar(&cfg.decompose, "decompose", false,
+		"fleet-scale solving: route hour decisions through Lagrangian dual decomposition when the fleet exceeds 20 sites")
+	fs.StringVar(&cfg.stateDir, "state-dir", "",
+		"directory for crash-safe state (WAL + snapshots): resilient decisions are durably logged and a restart restores the degradation ladder instead of zeroing it (empty = stateless)")
+	fs.Float64Var(&cfg.driftRatio, "drift-ratio", 2.0,
+		"observed/predicted arrival ratio beyond which the data plane re-solves asynchronously and swaps the routing table (must be > 1; 0 disables drift re-solves)")
+	fs.BoolVar(&cfg.tariff, "tariff", false,
+		"enable the tariff engine: the server holds the billing-period peak ledger and battery bank, serves GET /v1/tariff, and every non-override decision commits against them")
+	fs.Float64Var(&cfg.demandCharge, "demand-charge", 0,
+		"billing-period demand charge in $/MW-month, billed on each site's peak metered draw (implies -tariff)")
+	fs.StringVar(&cfg.battery, "battery", "",
+		"per-site battery as capMWh:maxMW:eff[:socMWh[:valueUSDPerMWh]], e.g. 40:15:0.9 — the same spec at every site (implies -tariff)")
+	return fs
+}
+
+func main() {
+	var cfg config
+	_ = flags(&cfg).Parse(os.Args[1:]) // ExitOnError: Parse exits on a bad flag
+
+	if cfg.variant < 0 || cfg.variant > 3 {
 		log.Fatal("capperd: variant must be 0..3")
 	}
 	var dcs []*dcmodel.Site
 	var pols []pricing.Policy
-	if *sites == 3 {
+	if cfg.sites == 3 {
 		dcs = dcmodel.PaperSites()
-		pols = pricing.PaperPolicies(pricing.PolicyVariant(*variant))
+		pols = pricing.PaperPolicies(pricing.PolicyVariant(cfg.variant))
 	} else {
-		dcs = dcmodel.SyntheticSites(*sites)
-		pols = pricing.Synthetic(*sites)
+		dcs = dcmodel.SyntheticSites(cfg.sites)
+		pols = pricing.Synthetic(cfg.sites)
 	}
 	srv, err := api.New(dcs, pols, core.Options{
-		SolveDeadline: *deadline,
-		SolverCache:   *solverCache,
-
-		Decompose:          *decompose,
-		DecomposeThreshold: *decomposeThreshold,
+		SolveDeadline: cfg.deadline,
+		SolverCache:   cfg.solverCache,
+		Decompose:     cfg.decompose,
 	})
 	if err != nil {
 		log.Fatalf("capperd: %v", err)
 	}
-	if err := srv.SetDriftRatio(*driftRatio); err != nil {
+	if err := srv.SetDriftRatio(cfg.driftRatio); err != nil {
 		log.Fatalf("capperd: %v", err)
 	}
-	if *tariff || *demandCharge > 0 || *batterySpec != "" {
+	if cfg.tariff || cfg.demandCharge > 0 || cfg.battery != "" {
 		var specs []core.BatterySpec
-		if *batterySpec != "" {
-			spec, err := parseBattery(*batterySpec)
+		if cfg.battery != "" {
+			spec, err := parseBattery(cfg.battery)
 			if err != nil {
 				log.Fatalf("capperd: -battery: %v", err)
 			}
@@ -137,22 +157,22 @@ func main() {
 		}
 		// Enable before EnableState so a restart restores the peak ledger
 		// and battery charge into the live tariff position.
-		if err := srv.EnableTariff(*demandCharge, specs); err != nil {
+		if err := srv.EnableTariff(cfg.demandCharge, specs); err != nil {
 			log.Fatalf("capperd: tariff: %v", err)
 		}
 		log.Printf("capperd: tariff engine: demand charge %.0f $/MW-month, batteries %v, GET /v1/tariff live",
-			*demandCharge, *batterySpec != "")
+			cfg.demandCharge, cfg.battery != "")
 	}
-	if *stateDir != "" {
-		info, err := srv.EnableState(*stateDir)
+	if cfg.stateDir != "" {
+		info, err := srv.EnableState(cfg.stateDir)
 		if err != nil {
 			log.Fatalf("capperd: state: %v", err)
 		}
 		if info.Restored {
 			log.Printf("capperd: restored state from %s: hour cursor %d, %d WAL entries replayed, %d WAL corruptions truncated, %d snapshot fallbacks",
-				*stateDir, info.Hour, info.WALEntriesReplayed, info.WALCorruptions, info.SnapshotFallbacks)
+				cfg.stateDir, info.Hour, info.WALEntriesReplayed, info.WALCorruptions, info.SnapshotFallbacks)
 		} else {
-			log.Printf("capperd: fresh state directory %s", *stateDir)
+			log.Printf("capperd: fresh state directory %s", cfg.stateDir)
 		}
 	}
 	hs := &http.Server{
@@ -168,15 +188,15 @@ func main() {
 		IdleTimeout:  120 * time.Second,
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		log.Fatalf("capperd: listen: %v", err)
 	}
-	log.Printf("capperd: %d sites, %v, listening on %s", len(dcs), pricing.PolicyVariant(*variant), ln.Addr())
+	log.Printf("capperd: %d sites, %v, listening on %s", len(dcs), pricing.PolicyVariant(cfg.variant), ln.Addr())
 	log.Printf("capperd: timeouts: readHeader=%v read=%v write=%v idle=%v decide=%v drain=%v",
-		hs.ReadHeaderTimeout, hs.ReadTimeout, hs.WriteTimeout, hs.IdleTimeout, *deadline, *drain)
-	if *driftRatio > 0 {
-		log.Printf("capperd: data plane: /v1/route live, drift re-solve at %.2f× predicted arrivals", *driftRatio)
+		hs.ReadHeaderTimeout, hs.ReadTimeout, hs.WriteTimeout, hs.IdleTimeout, cfg.deadline, cfg.drain)
+	if cfg.driftRatio > 0 {
+		log.Printf("capperd: data plane: /v1/route live, drift re-solve at %.2f× predicted arrivals", cfg.driftRatio)
 	} else {
 		log.Printf("capperd: data plane: /v1/route live, drift re-solve disabled")
 	}
@@ -192,8 +212,8 @@ func main() {
 	case <-ctx.Done():
 		stop()                // restore default signal handling: a second ^C kills immediately
 		srv.SetDraining(true) // /readyz → 503 so load balancers stop sending work
-		log.Printf("capperd: shutdown signal, draining for up to %v", *drain)
-		sctx, cancel := context.WithTimeout(context.Background(), *drain)
+		log.Printf("capperd: shutdown signal, draining for up to %v", cfg.drain)
+		sctx, cancel := context.WithTimeout(context.Background(), cfg.drain)
 		defer cancel()
 		if err := hs.Shutdown(sctx); err != nil {
 			log.Printf("capperd: drain timed out: %v", err)

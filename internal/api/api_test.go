@@ -126,19 +126,25 @@ func TestDecideUncappedAndCapped(t *testing.T) {
 
 func TestDecideDecomposedReportsGap(t *testing.T) {
 	// A server running the fleet-scale decomposition path must surface the
-	// subgradient effort and the proven primal–dual gap on the wire.
-	s, err := New(dcmodel.PaperSites(), pricing.PaperPolicies(pricing.Policy1),
-		core.Options{Decompose: true, DecomposeThreshold: 1})
+	// subgradient effort and the proven primal–dual gap on the wire. 21
+	// sites is the smallest fleet -decompose routes away from the exact MILP.
+	const n = 21
+	s, err := New(dcmodel.SyntheticSites(n), pricing.Synthetic(n), core.Options{Decompose: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
+	demand := make([]float64, n)
+	for i := range demand {
+		demand[i] = 150 + 15*float64(i%4)
+	}
+	capacity := s.sys.MaxThroughput()
 	var dec DecideResponse
 	resp := postJSON(t, ts.URL+"/v1/decide", DecideRequest{
-		TotalLambda: 1.5e12, PremiumLambda: 1.2e12,
-		DemandMW: []float64{170, 190, 150},
+		TotalLambda: 0.7 * capacity, PremiumLambda: 0.3 * capacity,
+		DemandMW: demand,
 	}, &dec)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -152,7 +158,7 @@ func TestDecideDecomposedReportsGap(t *testing.T) {
 	if dec.SolverNodes != 0 {
 		t.Errorf("decomposed decision still explored %d MILP nodes", dec.SolverNodes)
 	}
-	if dec.Served <= 0 || len(dec.Sites) != 3 {
+	if dec.Served <= 0 || len(dec.Sites) != n {
 		t.Fatalf("decision = %+v", dec)
 	}
 }
@@ -240,24 +246,30 @@ func TestErrorStatuses(t *testing.T) {
 	}
 }
 
-func TestModelDump(t *testing.T) {
-	ts := newTestServer(t)
-	buf, _ := json.Marshal(DecideRequest{
-		TotalLambda: 1e12, DemandMW: []float64{170, 190, 150},
-	})
-	resp, err := http.Post(ts.URL+"/v1/model", "application/json", bytes.NewReader(buf))
+// postModel posts a decide request to /v1/model and returns the dump.
+func postModel(t *testing.T, url string, req DecideRequest) string {
+	t.Helper()
+	buf, _ := json.Marshal(req)
+	resp, err := http.Post(url+"/v1/model", "application/json", bytes.NewReader(buf))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := string(body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	return string(body)
+}
+
+func TestModelDump(t *testing.T) {
+	ts := newTestServer(t)
+	text := postModel(t, ts.URL, DecideRequest{
+		TotalLambda: 1e12, DemandMW: []float64{170, 190, 150},
+	})
 	if !strings.Contains(text, "min:") || !strings.Contains(text, "int ") {
 		t.Fatalf("dump does not look like an LP model:\n%.200s", text)
 	}
@@ -270,5 +282,32 @@ func TestModelDump(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad input status %d", resp2.StatusCode)
+	}
+}
+
+// TestModelDumpIsTheDecidedHour pins that /v1/model reads its body exactly
+// as /v1/decide does: a down site is pinned off in the dump (DC2's y = 0
+// row; the writer spells "DC2-C.y" as DC2_C_y), and the live tariff
+// position's demand charge adds its peak-exceedance variables.
+func TestModelDumpIsTheDecidedHour(t *testing.T) {
+	const pinned = ": DC2_C_y = 0\n"
+	ts := newTestServer(t)
+	req := DecideRequest{TotalLambda: 1e12, DemandMW: []float64{170, 190, 150}}
+	if text := postModel(t, ts.URL, req); strings.Contains(text, pinned) {
+		t.Fatalf("an all-up hour already pins DC2 off:\n%s", text)
+	}
+	req.Down = []bool{false, true, false}
+	if text := postModel(t, ts.URL, req); !strings.Contains(text, pinned) {
+		t.Errorf("down site DC2 is not pinned off in the dump:\n%s", text)
+	}
+
+	s := tariffServer(t, 1500, false)
+	tts := httptest.NewServer(s.Handler())
+	defer tts.Close()
+	text := postModel(t, tts.URL, DecideRequest{TotalLambda: 1e12, DemandMW: []float64{170, 190, 150}})
+	for _, name := range []string{"DC1_B_peak", "DC2_C_peak", "DC3_D_peak"} {
+		if !strings.Contains(text, name) {
+			t.Errorf("demand-charge server's dump lacks %s:\n%s", name, text)
+		}
 	}
 }

@@ -11,11 +11,6 @@ import (
 	"billcap/internal/state"
 )
 
-// snapshotEveryDecisions is how many persisted resilient decisions pass
-// between checkpoint snapshots; between snapshots the WAL alone carries the
-// ladder state.
-const snapshotEveryDecisions = 24
-
 // stateLayer is the server's optional crash-safe persistence: a state.Store
 // plus the serialization the concurrent HTTP handlers need around it.
 type stateLayer struct {
@@ -128,7 +123,7 @@ func (s *Server) commit(req DecideRequest, in core.HourInput, dec core.Decision)
 		return nil
 	}
 	s.state.appends++
-	if s.state.appends%snapshotEveryDecisions == 0 {
+	if state.SnapshotDue(s.state.appends) {
 		cp := state.Checkpoint{Hour: nextHour(ls), Resilient: &ls, Peaks: peaks, BatterySoCMWh: socs}
 		if err := s.state.store.WriteSnapshot(cp); err != nil {
 			s.state.persistErrors.Inc()

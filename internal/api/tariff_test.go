@@ -272,8 +272,8 @@ func TestTariffConcurrentCommitsFollowWALOrder(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Fewer decides than snapshotEveryDecisions, so no checkpoint compacts
-	// the WAL under the test.
+	// Fewer decides than the checkpoint cadence (state.SnapshotDue), so no
+	// checkpoint compacts the WAL under the test.
 	const decides = 16
 	resps := make([]DecideResponse, decides)
 	var wg sync.WaitGroup

@@ -15,7 +15,6 @@
 package baseline
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -77,30 +76,10 @@ func (m *MinOnly) System() *core.System { return m.sys }
 
 // Decide serves the entire workload at minimum believed cost, ignoring the
 // hourly budget entirely (the paper: "all the incoming requests are serviced
-// in Min-Only regardless of the given cost budget"). Arrivals beyond what
-// the baseline believes the fleet carries are truncated to its believed
-// capacity.
+// in Min-Only regardless of the given cost budget"): the two-step algorithm
+// with capping disabled. Arrivals beyond what the baseline believes the
+// fleet carries are truncated to its believed capacity (StepOverCapacity).
 func (m *MinOnly) Decide(in core.HourInput) (core.Decision, error) {
-	var stats core.SolverStats
-	d, err := m.sys.MinimizeCost(in, in.TotalLambda, &stats)
-	if err == nil {
-		d.Step = core.StepCostMin
-		d.ServedPremium = math.Min(in.PremiumLambda, d.Served)
-		d.ServedOrdinary = d.Served - d.ServedPremium
-		return d, nil
-	}
-	if !errors.Is(err, core.ErrInfeasible) {
-		return core.Decision{}, err
-	}
-	// Over believed capacity: serve as much as possible, still no budget.
-	unc := in
-	unc.BudgetUSD = math.Inf(1)
-	d, err = m.sys.MaximizeThroughput(unc, &stats)
-	if err != nil {
-		return core.Decision{}, err
-	}
-	d.Step = core.StepOverCapacity
-	d.ServedPremium = math.Min(in.PremiumLambda, d.Served)
-	d.ServedOrdinary = d.Served - d.ServedPremium
-	return d, nil
+	in.BudgetUSD = math.Inf(1)
+	return m.sys.DecideHour(in)
 }

@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"errors"
 	"math"
 
 	"billcap/internal/core"
@@ -91,25 +90,6 @@ func (t *TimeOfUse) Decide(in core.HourInput) (core.Decision, error) {
 	if OnPeak(in.Hour) {
 		sys = t.peak
 	}
-	var stats core.SolverStats
-	d, err := sys.MinimizeCost(in, in.TotalLambda, &stats)
-	if err == nil {
-		d.Step = core.StepCostMin
-		d.ServedPremium = math.Min(in.PremiumLambda, d.Served)
-		d.ServedOrdinary = d.Served - d.ServedPremium
-		return d, nil
-	}
-	if !errors.Is(err, core.ErrInfeasible) {
-		return core.Decision{}, err
-	}
-	unc := in
-	unc.BudgetUSD = math.Inf(1)
-	d, err = sys.MaximizeThroughput(unc, &stats)
-	if err != nil {
-		return core.Decision{}, err
-	}
-	d.Step = core.StepOverCapacity
-	d.ServedPremium = math.Min(in.PremiumLambda, d.Served)
-	d.ServedOrdinary = d.Served - d.ServedPremium
-	return d, nil
+	in.BudgetUSD = math.Inf(1)
+	return sys.DecideHour(in)
 }

@@ -17,15 +17,16 @@ import (
 // subproblem does not model (demand charges and two-settlement, by contrast,
 // stay separable and are absorbed into the segment costs below).
 func (s *System) routeDecomp(in HourInput) bool {
-	return s.opts.Decompose && len(s.models) > s.opts.decomposeThreshold() && !in.hasBatteries()
+	threshold := decomposeAbove
+	if s.opts.decomposeAt > 0 {
+		threshold = s.opts.decomposeAt
+	}
+	return s.opts.Decompose && len(s.models) > threshold && !in.hasBatteries()
 }
 
-func (o Options) decomposeThreshold() int {
-	if o.DecomposeThreshold <= 0 {
-		return 20
-	}
-	return o.DecomposeThreshold
-}
+// decomposeAbove is the fleet size above which Options.Decompose leaves the
+// exact MILP. At or below it the exact branch-and-bound remains the oracle.
+const decomposeAbove = 20
 
 // decompOptions maps the per-solve MILP options onto the decomposition
 // loop: deadline and cancellation carry over.
@@ -193,7 +194,7 @@ func (s *System) decompMaxThroughput(in HourInput, stats *SolverStats, so milp.O
 		Sense:      decomp.MaxLoadWithinBudget,
 		TargetLoad: in.TotalLambda,
 		BudgetUSD:  budget,
-		Epsilon:    s.opts.epsilon(),
+		Epsilon:    epsilon,
 	}
 	res, err := decomp.Solve(inst, s.decompOptions(so))
 	if err != nil {

@@ -33,7 +33,7 @@ func syntheticDemand(n int) []float64 {
 func TestDecomposeMatchesExact(t *testing.T) {
 	const n = 8
 	exact := syntheticSystem(t, n, Options{})
-	dec := syntheticSystem(t, n, Options{Decompose: true, DecomposeThreshold: 1})
+	dec := syntheticSystem(t, n, Options{Decompose: true, decomposeAt: 1})
 	demand := syntheticDemand(n)
 	cap := exact.MaxThroughput()
 

@@ -51,9 +51,8 @@ func TestSparseWeekMatchesDenseOracle(t *testing.T) {
 			}
 		default:
 			scale := lambdaScale(in.TotalLambda)
-			eps := dense.Options().epsilon()
-			objD := dd.Served/scale - eps*dd.PredictedCostUSD
-			objS := ds.Served/scale - eps*ds.PredictedCostUSD
+			objD := dd.Served/scale - epsilon*dd.PredictedCostUSD
+			objS := ds.Served/scale - epsilon*ds.PredictedCostUSD
 			tol := 1e-9*(1+math.Abs(objD)) + 1e-6
 			if diff := math.Abs(objD - objS); diff > tol {
 				t.Errorf("hour %d (%v): sparse objective %v vs dense %v (diff %g)",

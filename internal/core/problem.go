@@ -444,17 +444,26 @@ func (s *System) MinimizeCost(in HourInput, lambda float64, stats *SolverStats) 
 	return s.minimizeCost(in, lambda, stats, s.solveOptions(), kindMinCostTotal)
 }
 
-func (s *System) minimizeCost(in HourInput, lambda float64, stats *SolverStats, so milp.Options, kind solveKind) (Decision, error) {
+// stepOneModel validates the hour and assembles step 1's MILP for lambda
+// requests/hour: the hour skeleton (through the solve cache when cached),
+// Σ x = λ, and the cost plus battery-value objective. The solver and the
+// model dump share it, so a dump is exactly the model the decision solves.
+func (s *System) stepOneModel(in HourInput, lambda float64, cached bool) (
+	m *milp.Problem, vars []siteVars, sig uint64, scale float64, err error) {
 	if err := s.ValidateInput(in); err != nil {
-		return Decision{}, err
+		return nil, nil, 0, 0, err
 	}
 	if lambda < 0 || math.IsNaN(lambda) {
-		return Decision{}, fmt.Errorf("%w: negative workload %v", ErrBadInput, lambda)
+		return nil, nil, 0, 0, fmt.Errorf("%w: negative workload %v", ErrBadInput, lambda)
 	}
-	scale := lambdaScale(lambda)
-	m, vars, sig, err := s.buildHour(in, scale, lambda)
+	scale = lambdaScale(lambda)
+	if cached {
+		m, vars, sig, err = s.buildHour(in, scale, lambda)
+	} else {
+		m, vars, err = s.buildBase(in, scale, lambda)
+	}
 	if err != nil {
-		return Decision{}, err
+		return nil, nil, 0, 0, err
 	}
 	// Σ x = λ: all arrivals must be served in step 1.
 	terms := make([]lp.Term, len(vars))
@@ -467,6 +476,14 @@ func (s *System) minimizeCost(in HourInput, lambda float64, stats *SolverStats, 
 	}
 	for _, t := range batteryValueTerms(vars, in) {
 		m.SetObjectiveCoef(t.Var, m.ObjectiveCoef(t.Var)+t.Coef)
+	}
+	return m, vars, sig, scale, nil
+}
+
+func (s *System) minimizeCost(in HourInput, lambda float64, stats *SolverStats, so milp.Options, kind solveKind) (Decision, error) {
+	m, vars, sig, scale, err := s.stepOneModel(in, lambda, true)
+	if err != nil {
+		return Decision{}, err
 	}
 	so = s.warmOptions(so, kind, sig, m, vars, in, scale, lambda, true, math.Inf(1))
 	sol := m.SolveWithOptions(so)
@@ -501,39 +518,17 @@ func (s *System) minimizeCost(in HourInput, lambda float64, stats *SolverStats, 
 //
 //	capperd says hour 412 looks odd → dump it → milpsolve hour412.lp
 func (s *System) WriteHourModel(w io.Writer, in HourInput, lambda float64) error {
-	if err := s.ValidateInput(in); err != nil {
-		return err
-	}
-	if lambda < 0 || math.IsNaN(lambda) {
-		return fmt.Errorf("%w: negative workload %v", ErrBadInput, lambda)
-	}
-	scale := lambdaScale(lambda)
-	m, vars, err := s.buildBase(in, scale, lambda)
+	m, _, _, _, err := s.stepOneModel(in, lambda, false)
 	if err != nil {
 		return err
-	}
-	terms := make([]lp.Term, len(vars))
-	for i, v := range vars {
-		terms[i] = lp.Term{Var: v.x, Coef: 1}
-	}
-	m.AddConstraint(terms, lp.EQ, lambda/scale)
-	for _, t := range s.costTerms(vars, in) {
-		m.SetObjectiveCoef(t.Var, m.ObjectiveCoef(t.Var)+t.Coef)
-	}
-	for _, t := range batteryValueTerms(vars, in) {
-		m.SetObjectiveCoef(t.Var, m.ObjectiveCoef(t.Var)+t.Coef)
 	}
 	return lpparse.Write(w, m)
 }
 
-// MaximizeThroughput solves step 2 (paper eq. 8–9): admit as many requests
+// maximizeThroughput solves step 2 (paper eq. 8–9): admit as many requests
 // as possible (up to the hour's arrivals) while keeping predicted cost within
 // the budget. Ties in throughput break toward cheaper allocations via a tiny
 // cost penalty.
-func (s *System) MaximizeThroughput(in HourInput, stats *SolverStats) (Decision, error) {
-	return s.maximizeThroughput(in, stats, s.solveOptions(), kindMaxThroughput)
-}
-
 func (s *System) maximizeThroughput(in HourInput, stats *SolverStats, so milp.Options, kind solveKind) (Decision, error) {
 	if err := s.ValidateInput(in); err != nil {
 		return Decision{}, err
@@ -560,12 +555,11 @@ func (s *System) maximizeThroughput(in HourInput, stats *SolverStats, so milp.Op
 	for _, v := range vars {
 		m.SetObjectiveCoef(v.x, 1)
 	}
-	eps := s.opts.epsilon()
 	for _, t := range s.costTerms(vars, in) {
-		m.SetObjectiveCoef(t.Var, m.ObjectiveCoef(t.Var)-eps*t.Coef)
+		m.SetObjectiveCoef(t.Var, m.ObjectiveCoef(t.Var)-epsilon*t.Coef)
 	}
 	for _, t := range batteryValueTerms(vars, in) {
-		m.SetObjectiveCoef(t.Var, m.ObjectiveCoef(t.Var)-eps*t.Coef)
+		m.SetObjectiveCoef(t.Var, m.ObjectiveCoef(t.Var)-epsilon*t.Coef)
 	}
 	so = s.warmOptions(so, kind, sig, m, vars, in, scale, in.TotalLambda, false, in.BudgetUSD)
 	sol := m.SolveWithOptions(so)

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"billcap/internal/dcmodel"
+	"billcap/internal/pricing"
 )
 
 // SiteRealization is the ground truth of one site for one hour: discrete
@@ -85,7 +86,7 @@ func (s *System) Realize(lambdas, demand []float64) (Realization, error) {
 			CapViolated:    p > site.DC.PowerCapMW+1e-9,
 		}
 		if r.CapViolated {
-			r.PenaltyUSD = s.opts.capPenalty() * (p - site.DC.PowerCapMW)
+			r.PenaltyUSD = pricing.CapPenaltyUSDPerMWh * (p - site.DC.PowerCapMW)
 		}
 		if lam > 0 {
 			r.RespTimeHours = site.DC.Queue.ResponseTime(lam, b.Servers)

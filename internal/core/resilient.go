@@ -251,27 +251,13 @@ func (r *Resilient) sanitize(in HourInput) HourInput {
 		in.Batteries = nil
 	}
 	for i, b := range in.Batteries {
-		if badBatterySpec(b) {
+		if b.check() != nil {
 			bats := append([]BatterySpec(nil), in.Batteries...)
 			bats[i] = BatterySpec{}
 			in.Batteries = bats
 		}
 	}
 	return in
-}
-
-// badBatterySpec reports whether a spec would fail validation (the sanitizer
-// zeroes it — no battery at that site this hour — instead of rejecting).
-func badBatterySpec(b BatterySpec) bool {
-	if b.CapacityMWh == 0 && !math.IsNaN(b.CapacityMWh) {
-		return false // explicit "no battery"
-	}
-	return math.IsNaN(b.CapacityMWh) || math.IsInf(b.CapacityMWh, 0) || b.CapacityMWh < 0 ||
-		math.IsNaN(b.MaxChargeMW) || math.IsInf(b.MaxChargeMW, 0) || b.MaxChargeMW < 0 ||
-		math.IsNaN(b.MaxDischargeMW) || math.IsInf(b.MaxDischargeMW, 0) || b.MaxDischargeMW < 0 ||
-		math.IsNaN(b.Efficiency) || b.Efficiency <= 0 || b.Efficiency > 1 ||
-		math.IsNaN(b.SoCMWh) || b.SoCMWh < 0 || b.SoCMWh > b.CapacityMWh*(1+1e-9) ||
-		math.IsNaN(b.ValueUSDPerMWh) || math.IsInf(b.ValueUSDPerMWh, 0) || b.ValueUSDPerMWh < 0
 }
 
 // tryMILP runs the two-step algorithm with panic recovery: a solver bug

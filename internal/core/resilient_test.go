@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -162,6 +163,69 @@ func TestResilientSanitizesCorruptFeeds(t *testing.T) {
 	in.DemandMW = []float64{170}
 	if dec := r.Decide(in); dec.Served <= 0 {
 		t.Error("short demand feed served nothing")
+	}
+}
+
+// TestSanitizeBatteryMatchesValidation pins the one battery-validity rule:
+// every spec ValidateInput rejects, the resilient sanitizer zeroes (no
+// battery at that site this hour), and every spec it accepts is kept as is.
+func TestSanitizeBatteryMatchesValidation(t *testing.T) {
+	good := BatterySpec{CapacityMWh: 40, MaxChargeMW: 15, MaxDischargeMW: 15,
+		Efficiency: 0.9, SoCMWh: 20, ValueUSDPerMWh: 15}
+	with := func(f func(*BatterySpec)) BatterySpec {
+		b := good
+		f(&b)
+		return b
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	specs := map[string]BatterySpec{
+		"good":                  good,
+		"none":                  {},
+		"none with junk rates":  {MaxChargeMW: nan, Efficiency: -3},
+		"full":                  with(func(b *BatterySpec) { b.SoCMWh = b.CapacityMWh }),
+		"empty":                 with(func(b *BatterySpec) { b.SoCMWh = 0 }),
+		"charge only":           with(func(b *BatterySpec) { b.MaxDischargeMW = 0 }),
+		"unit efficiency":       with(func(b *BatterySpec) { b.Efficiency = 1 }),
+		"unvalued":              with(func(b *BatterySpec) { b.ValueUSDPerMWh = 0 }),
+		"NaN capacity":          with(func(b *BatterySpec) { b.CapacityMWh = nan }),
+		"infinite capacity":     with(func(b *BatterySpec) { b.CapacityMWh = inf }),
+		"negative capacity":     with(func(b *BatterySpec) { b.CapacityMWh = -1 }),
+		"NaN charge rate":       with(func(b *BatterySpec) { b.MaxChargeMW = nan }),
+		"negative charge rate":  with(func(b *BatterySpec) { b.MaxChargeMW = -1 }),
+		"infinite charge rate":  with(func(b *BatterySpec) { b.MaxChargeMW = inf }),
+		"NaN discharge rate":    with(func(b *BatterySpec) { b.MaxDischargeMW = nan }),
+		"negative discharge":    with(func(b *BatterySpec) { b.MaxDischargeMW = -1 }),
+		"infinite discharge":    with(func(b *BatterySpec) { b.MaxDischargeMW = inf }),
+		"zero efficiency":       with(func(b *BatterySpec) { b.Efficiency = 0 }),
+		"efficiency above one":  with(func(b *BatterySpec) { b.Efficiency = 1.1 }),
+		"NaN efficiency":        with(func(b *BatterySpec) { b.Efficiency = nan }),
+		"NaN charge state":      with(func(b *BatterySpec) { b.SoCMWh = nan }),
+		"negative charge state": with(func(b *BatterySpec) { b.SoCMWh = -1 }),
+		"overfull":              with(func(b *BatterySpec) { b.SoCMWh = 41 }),
+		"NaN value":             with(func(b *BatterySpec) { b.ValueUSDPerMWh = nan }),
+		"infinite value":        with(func(b *BatterySpec) { b.ValueUSDPerMWh = inf }),
+		"negative value":        with(func(b *BatterySpec) { b.ValueUSDPerMWh = -1 }),
+	}
+	sys := paperSystem(t, Options{})
+	r := NewResilient(sys, ResilientOptions{})
+	rejected := 0
+	for name, spec := range specs {
+		in := goodInput(0)
+		in.Batteries = []BatterySpec{spec, good, {}}
+		err := sys.ValidateInput(in)
+		got := r.sanitize(in).Batteries[0]
+		want := spec
+		if err != nil {
+			rejected++
+			want = BatterySpec{}
+		}
+		// %v compares NaN fields too (NaN != NaN under ==).
+		if fmt.Sprintf("%v", got) != fmt.Sprintf("%v", want) {
+			t.Errorf("%s: ValidateInput error %v, sanitized to %+v, want %+v", name, err, got, want)
+		}
+	}
+	if rejected == 0 || rejected == len(specs) {
+		t.Fatalf("table exercises only one side of the rule (%d of %d rejected)", rejected, len(specs))
 	}
 }
 

@@ -66,36 +66,21 @@ type Options struct {
 	Scope dcmodel.ModelScope
 	// PriceView selects the optimizer's price model.
 	PriceView PriceView
-	// Epsilon is the cost tie-break weight in the throughput-maximization
-	// objective; 0 → 1e-4 (small enough to never trade throughput for cost).
-	Epsilon float64
-	// CapPenaltyUSDPerMWh is what the supplier charges for every MWh drawn
-	// above the site's power cap Ps (paper §I: suppliers "penalize those
-	// price makers heavily if this cap is exceeded"). 0 → 250 $/MWh, an
-	// order of magnitude above the highest Policy 1 rate.
-	CapPenaltyUSDPerMWh float64
 	// SolveDeadline bounds the wall-clock time of each MILP solve inside a
 	// decision; 0 → unlimited. When a solve expires, its best incumbent is
 	// used and the decision is marked DegradeTimeLimit — a feasible but
 	// possibly suboptimal answer instead of a hang (the real-time controller
 	// must answer every invocation period).
 	SolveDeadline time.Duration
-	// MaxSolveNodes caps branch-and-bound nodes per solve; 0 → the solver
-	// default.
-	MaxSolveNodes int
 	// Decompose enables the Lagrangian dual-decomposition solve path for
-	// fleet-scale hour decisions: when the fleet exceeds DecomposeThreshold
-	// sites, decideSteps routes each step's solve to internal/decomp —
+	// fleet-scale hour decisions: when the fleet exceeds 20 sites,
+	// decideSteps routes each step's solve to internal/decomp —
 	// per-site subproblems under dualized balance and budget rows, a
 	// subgradient loop on the two multipliers, and a greedy-plus-LP primal
 	// recovery — instead of the exact MILP. The decision then reports its
 	// proven primal–dual gap in SolverStats{DecompIterations, DecompGap,
 	// DecompDualBound}.
 	Decompose bool
-	// DecomposeThreshold is the fleet size above which Decompose routes away
-	// from the exact MILP; 0 → 20. At or below the threshold the exact
-	// branch-and-bound remains the oracle.
-	DecomposeThreshold int
 	// SolverCache enables incremental hour-over-hour solving: the MILP
 	// presolve runs before every search, the hour-invariant model skeleton is
 	// memoized (subsequent hours clone it and patch only the changed
@@ -110,29 +95,21 @@ type Options struct {
 	// relaxation. The zero value is the production sparse core; the
 	// cross-oracle tests set lp.CoreDense.
 	lpCore lp.Core
+	// decomposeAt overrides decomposeAbove when positive, so tests can
+	// compare the exact MILP against decomposition on small fleets.
+	decomposeAt int
 }
+
+// epsilon is the cost tie-break weight in the throughput-maximization
+// objective: small enough to never trade throughput for cost.
+const epsilon = 1e-4
 
 // solveOptions derives the per-solve MILP options from the system options.
 func (s *System) solveOptions() milp.Options {
 	return milp.Options{
 		Deadline: s.opts.SolveDeadline,
-		MaxNodes: s.opts.MaxSolveNodes,
 		LPCore:   s.opts.lpCore,
 	}
-}
-
-func (o Options) capPenalty() float64 {
-	if o.CapPenaltyUSDPerMWh == 0 {
-		return 250
-	}
-	return o.CapPenaltyUSDPerMWh
-}
-
-func (o Options) epsilon() float64 {
-	if o.Epsilon == 0 {
-		return 1e-4
-	}
-	return o.Epsilon
 }
 
 // siteModel caches the per-site derived quantities the MILP builders need.
@@ -206,11 +183,6 @@ func (s *System) Options() Options { return s.opts }
 
 // NumSites returns the number of data centers.
 func (s *System) NumSites() int { return len(s.Sites) }
-
-// CapPenaltyUSDPerMWh returns the effective supplier penalty rate (the
-// configured value or the package default), so harnesses billing metered
-// grid draws outside Realize charge cap violations at the same rate.
-func (s *System) CapPenaltyUSDPerMWh() float64 { return s.opts.capPenalty() }
 
 // MaxThroughput returns the total arrival rate the system can accept under
 // the optimizer's site models.
@@ -453,23 +425,32 @@ func (s *System) validateTariffInput(in HourInput) error {
 		return fmt.Errorf("%w: %d battery specs for %d sites", ErrBadInput, len(in.Batteries), n)
 	}
 	for i, b := range in.Batteries {
-		switch {
-		case math.IsNaN(b.CapacityMWh) || math.IsInf(b.CapacityMWh, 0) || b.CapacityMWh < 0:
-			return fmt.Errorf("%w: battery capacity %v MWh at site %d", ErrBadInput, b.CapacityMWh, i)
-		case b.CapacityMWh == 0:
-			continue // no battery at this site
-		case math.IsNaN(b.MaxChargeMW) || b.MaxChargeMW < 0 || math.IsNaN(b.MaxDischargeMW) || b.MaxDischargeMW < 0:
-			return fmt.Errorf("%w: battery rates %v/%v MW at site %d", ErrBadInput, b.MaxChargeMW, b.MaxDischargeMW, i)
-		case math.IsInf(b.MaxChargeMW, 0) || math.IsInf(b.MaxDischargeMW, 0):
-			return fmt.Errorf("%w: battery rates %v/%v MW at site %d", ErrBadInput, b.MaxChargeMW, b.MaxDischargeMW, i)
-		case b.Efficiency <= 0 || b.Efficiency > 1 || math.IsNaN(b.Efficiency):
-			return fmt.Errorf("%w: battery efficiency %v at site %d", ErrBadInput, b.Efficiency, i)
-		case math.IsNaN(b.SoCMWh) || b.SoCMWh < 0 || b.SoCMWh > b.CapacityMWh*(1+1e-9):
-			return fmt.Errorf("%w: battery state of charge %v MWh outside [0, %v] at site %d",
-				ErrBadInput, b.SoCMWh, b.CapacityMWh, i)
-		case math.IsNaN(b.ValueUSDPerMWh) || math.IsInf(b.ValueUSDPerMWh, 0) || b.ValueUSDPerMWh < 0:
-			return fmt.Errorf("%w: battery energy value %v at site %d", ErrBadInput, b.ValueUSDPerMWh, i)
+		if err := b.check(); err != nil {
+			return fmt.Errorf("%w at site %d", err, i)
 		}
+	}
+	return nil
+}
+
+// check is the one battery-validity rule: it reports why the spec is
+// unusable, or nil for a well-formed battery or an explicit "no battery"
+// (CapacityMWh 0). ValidateInput rejects an hour carrying a bad spec; the
+// resilient sanitizer zeroes it instead.
+func (b BatterySpec) check() error {
+	switch {
+	case math.IsNaN(b.CapacityMWh) || math.IsInf(b.CapacityMWh, 0) || b.CapacityMWh < 0:
+		return fmt.Errorf("%w: battery capacity %v MWh", ErrBadInput, b.CapacityMWh)
+	case b.CapacityMWh == 0:
+		return nil // no battery at this site
+	case math.IsNaN(b.MaxChargeMW) || math.IsInf(b.MaxChargeMW, 0) || b.MaxChargeMW < 0 ||
+		math.IsNaN(b.MaxDischargeMW) || math.IsInf(b.MaxDischargeMW, 0) || b.MaxDischargeMW < 0:
+		return fmt.Errorf("%w: battery rates %v/%v MW", ErrBadInput, b.MaxChargeMW, b.MaxDischargeMW)
+	case b.Efficiency <= 0 || b.Efficiency > 1 || math.IsNaN(b.Efficiency):
+		return fmt.Errorf("%w: battery efficiency %v", ErrBadInput, b.Efficiency)
+	case math.IsNaN(b.SoCMWh) || b.SoCMWh < 0 || b.SoCMWh > b.CapacityMWh*(1+1e-9):
+		return fmt.Errorf("%w: battery state of charge %v MWh outside [0, %v]", ErrBadInput, b.SoCMWh, b.CapacityMWh)
+	case math.IsNaN(b.ValueUSDPerMWh) || math.IsInf(b.ValueUSDPerMWh, 0) || b.ValueUSDPerMWh < 0:
+		return fmt.Errorf("%w: battery energy value %v", ErrBadInput, b.ValueUSDPerMWh)
 	}
 	return nil
 }

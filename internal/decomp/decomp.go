@@ -12,7 +12,7 @@
 // instead of an unquantified heuristic.
 //
 // The exact MILP stays the oracle at small N (internal/core routes to this
-// package only above Options.DecomposeThreshold); at N in the hundreds the
+// package only above its fixed fleet-size threshold); at N in the hundreds the
 // decomposition answers in milliseconds where branch-and-bound hits its
 // node or time limit.
 package decomp
@@ -20,8 +20,6 @@ package decomp
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 	"time"
 )
 
@@ -201,30 +199,25 @@ func (inst *Instance) normalize() (Instance, float64, float64) {
 	return out, sL, sC
 }
 
+// Solve's fixed loop parameters.
+const (
+	// maxIters caps the subgradient iterations.
+	maxIters = 160
+	// initialTheta is the initial Polyak step scale. It halves after several
+	// consecutive iterations without dual progress.
+	initialTheta = 1.0
+)
+
 // Options tune a Solve. The zero value is ready to use.
 type Options struct {
-	// MaxIters caps the subgradient iterations; 0 → 160.
-	MaxIters int
 	// GapTol is the relative primal–dual gap at which the loop declares
 	// convergence; 0 → 1e-3.
 	GapTol float64
-	// Workers bounds the subproblem worker pool; 0 → GOMAXPROCS.
-	Workers int
 	// Deadline bounds wall-clock time; 0 → unbounded. An expiring solve
 	// answers with its best primal and bound so far.
 	Deadline time.Duration
 	// Cancel aborts the loop early when closed (a context's Done channel).
 	Cancel <-chan struct{}
-	// Theta is the initial Polyak step scale; 0 → 1. It halves after
-	// several consecutive iterations without dual progress.
-	Theta float64
-}
-
-func (o Options) maxIters() int {
-	if o.MaxIters <= 0 {
-		return 160
-	}
-	return o.MaxIters
 }
 
 func (o Options) gapTol() float64 {
@@ -232,21 +225,6 @@ func (o Options) gapTol() float64 {
 		return 1e-3
 	}
 	return o.GapTol
-}
-
-func (o Options) workers() int {
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	return w
-}
-
-func (o Options) theta() float64 {
-	if o.Theta <= 0 {
-		return 1
-	}
-	return o.Theta
 }
 
 // Status reports how a Solve ended.
@@ -341,62 +319,6 @@ func bestChoice(s *Site, wL, wC float64) choice {
 	return best
 }
 
-// pool is the bounded worker pool evaluating site subproblems. Workers are
-// started once per Solve and fed one contiguous chunk of sites per round.
-type pool struct {
-	workers int
-	jobs    chan func()
-	wg      sync.WaitGroup
-}
-
-func newPool(workers int) *pool {
-	p := &pool{workers: workers}
-	if workers > 1 {
-		p.jobs = make(chan func(), workers)
-		for i := 0; i < workers; i++ {
-			go func() {
-				for f := range p.jobs {
-					f()
-					p.wg.Done()
-				}
-			}()
-		}
-	}
-	return p
-}
-
-func (p *pool) close() {
-	if p.jobs != nil {
-		close(p.jobs)
-	}
-}
-
-// solveSites evaluates every site's subproblem under the weights into out.
-// Small fleets run inline: the pool pays off only when the per-round work
-// dwarfs the handoff.
-func (p *pool) solveSites(sites []Site, wL, wC float64, out []choice) {
-	if p.jobs == nil || len(sites) < 4*p.workers || len(sites) < 64 {
-		for i := range sites {
-			out[i] = bestChoice(&sites[i], wL, wC)
-		}
-		return
-	}
-	chunk := (len(sites) + p.workers - 1) / p.workers
-	for lo := 0; lo < len(sites); lo += chunk {
-		lo, hi := lo, lo+chunk
-		if hi > len(sites) {
-			hi = len(sites)
-		}
-		p.wg.Add(1)
-		p.jobs <- func() {
-			for i := lo; i < hi; i++ {
-				out[i] = bestChoice(&sites[i], wL, wC)
-			}
-		}
-	}
-	p.wg.Wait()
-}
-
 // Solve runs the dual-decomposition loop on the instance: dualize the
 // coupling rows, iterate per-site subproblems and a projected subgradient
 // step on the multipliers (Polyak sizing against the best feasible primal),
@@ -454,15 +376,13 @@ func Solve(inst Instance, opt Options) (Result, error) {
 	if !maxSense {
 		dualBest = math.Inf(-1)
 	}
-	theta := opt.theta()
+	theta := initialTheta
 	stall := 0
 	const stallLimit = 6
 
-	pw := newPool(opt.workers())
-	defer pw.close()
 	choices := make([]choice, n)
 
-	for it := 1; it <= opt.maxIters(); it++ {
+	for it := 1; it <= maxIters; it++ {
 		res.Iterations = it
 		if expired() {
 			break
@@ -473,7 +393,9 @@ func Solve(inst Instance, opt Options) (Result, error) {
 		} else {
 			wL, wC = mu, 1
 		}
-		pw.solveSites(inst.Sites, wL, wC, choices)
+		for i := range inst.Sites {
+			choices[i] = bestChoice(&inst.Sites[i], wL, wC)
+		}
 		var sumL, sumC, sumV float64
 		for i := range choices {
 			c := choices[i]

@@ -1,7 +1,11 @@
 package decomp
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -219,22 +223,43 @@ func TestCancelStopsPrimalRecovery(t *testing.T) {
 	}
 }
 
+// TestWorkerPoolMatchesSequential pins that Solve is a pure function of its
+// instance: the same result bit for bit at GOMAXPROCS 1 and 8, and from four
+// goroutines solving at once (core.DecideBatch runs solves concurrently).
 func TestWorkerPoolMatchesSequential(t *testing.T) {
-	// The pool only changes who evaluates the subproblems, never the math:
-	// identical instances must give identical iterates and results.
 	fi := milp.NewPaperFleet(80, 9)
-	seq, err := Solve(FromFleet(fi), Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	solve := func() Result {
+		res, err := Solve(FromFleet(fi), Options{})
+		if err != nil {
+			t.Error(err)
+		}
+		return res
 	}
-	par, err := Solve(FromFleet(fi), Options{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
+	same := func(label string, a, b Result) {
+		t.Helper()
+		if a.Objective != b.Objective || a.DualBound != b.DualBound || a.Iterations != b.Iterations ||
+			!reflect.DeepEqual(a.Sites, b.Sites) {
+			t.Errorf("%s (obj=%v dual=%v it=%d) != reference (obj=%v dual=%v it=%d)",
+				label, a.Objective, a.DualBound, a.Iterations, b.Objective, b.DualBound, b.Iterations)
+		}
 	}
-	if seq.Objective != par.Objective || seq.DualBound != par.DualBound || seq.Iterations != par.Iterations {
-		t.Errorf("sequential (obj=%v dual=%v it=%d) != parallel (obj=%v dual=%v it=%d)",
-			seq.Objective, seq.DualBound, seq.Iterations,
-			par.Objective, par.DualBound, par.Iterations)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ref := solve()
+	runtime.GOMAXPROCS(8)
+	same("GOMAXPROCS 8", solve(), ref)
+
+	results := make([]Result, 4)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i] = solve()
+		}(i)
+	}
+	wg.Wait()
+	for i, r := range results {
+		same(fmt.Sprintf("goroutine %d", i), r, ref)
 	}
 }
 

@@ -15,10 +15,6 @@ import (
 // can carry within SLAs and power caps.
 var ErrInfeasible = errors.New("hetero: no feasible allocation")
 
-// capPenaltyUSDPerMWh prices power-cap violations in realizations, matching
-// the homogeneous system's default.
-const capPenaltyUSDPerMWh = 250
-
 // Network is a set of heterogeneous data centers in their power markets.
 type Network struct {
 	Sites    []*Site
@@ -300,7 +296,7 @@ func (n *Network) Realize(lambdaBySite, demandMW []float64) (Realization, error)
 		out.Servers += d.Servers
 		if d.PowerMW > s.PowerCapMW+1e-9 {
 			out.CapViolations++
-			out.PenaltyUSD += capPenaltyUSDPerMWh * (d.PowerMW - s.PowerCapMW)
+			out.PenaltyUSD += pricing.CapPenaltyUSDPerMWh * (d.PowerMW - s.PowerCapMW)
 		}
 	}
 	return out, nil

@@ -42,14 +42,18 @@ type Group struct {
 // System exposes the group's optimizer.
 func (g *Group) System() *core.System { return g.sys }
 
+// The coordinator's fixed resolutions.
+const (
+	// samplePoints is the number of load levels used to sample each group's
+	// cost curve.
+	samplePoints = 5
+	// chunks is the granularity of the greedy workload split.
+	chunks = 24
+)
+
 // Coordinator is the top-level splitter plus the per-group cappers.
 type Coordinator struct {
 	Groups []*Group
-	// SamplePoints is the number of load levels used to sample each
-	// group's cost curve (≥ 2; default 5).
-	SamplePoints int
-	// Chunks is the granularity of the greedy workload split (default 24).
-	Chunks int
 
 	numSites int
 }
@@ -77,7 +81,7 @@ func New(dcs []*dcmodel.Site, policies []pricing.Policy, groupSizes []int) (*Coo
 		return nil, fmt.Errorf("hierarchy: %d group sizes sum to %d, have %d sites",
 			len(groupSizes), total, len(dcs))
 	}
-	c := &Coordinator{SamplePoints: 5, Chunks: 24, numSites: len(dcs)}
+	c := &Coordinator{numSites: len(dcs)}
 	at := 0
 	for gi, size := range groupSizes {
 		idx := make([]int, size)
@@ -167,17 +171,13 @@ func (c *Coordinator) DecideHour(in core.HourInput) (Decision, error) {
 	// 1. Sample every group's cost curve.
 	curves := make([]costCurve, len(c.Groups))
 	for gi, g := range c.Groups {
-		samples := c.SamplePoints
-		if samples < 2 {
-			samples = 5
-		}
 		gin := in
 		gin.DemandMW = g.groupDemand(in.DemandMW)
 		gin.PremiumLambda = 0
 		gin.BudgetUSD = math.Inf(1)
 		cc := costCurve{}
-		for s := 0; s < samples; s++ {
-			load := g.capacity * float64(s) / float64(samples-1)
+		for s := 0; s < samplePoints; s++ {
+			load := g.capacity * float64(s) / float64(samplePoints-1)
 			d, err := g.sys.MinimizeCost(gin, load, &stats)
 			if err != nil {
 				return Decision{}, fmt.Errorf("hierarchy: sampling %s at %v: %w", g.Name, load, err)
@@ -190,10 +190,6 @@ func (c *Coordinator) DecideHour(in core.HourInput) (Decision, error) {
 
 	// 2. Greedy marginal-cost split of the workload.
 	groupLambda := make([]float64, len(c.Groups))
-	chunks := c.Chunks
-	if chunks < 1 {
-		chunks = 24
-	}
 	remaining := math.Min(in.TotalLambda, c.Capacity())
 	chunk := remaining / float64(chunks)
 	for k := 0; k < chunks && chunk > 0; k++ {

@@ -140,16 +140,21 @@ type Solution struct {
 	RootBasis []int
 }
 
+// The search's fixed tolerances.
+const (
+	// intTol is the integrality tolerance. It must sit above the LP solver's
+	// accumulated pivot noise (relative to row magnitudes up to ~1e3 in this
+	// repository), or branching on a phantom fraction like 1.000002 adds the
+	// already-present bound x ≤ 1 and makes no progress.
+	intTol = 1e-4
+	// gapTol is the absolute optimality gap at which the search stops.
+	gapTol = 1e-7
+)
+
 // Options tune the search. The zero value uses defaults suitable for the
 // paper's problem sizes.
 type Options struct {
 	MaxNodes int // 0 → 200000
-	// IntTol is the integrality tolerance. 0 → 1e-4: it must sit above the
-	// LP solver's accumulated pivot noise (relative to row magnitudes up to
-	// ~1e3 in this repository), or branching on a phantom fraction like
-	// 1.000002 adds the already-present bound x ≤ 1 and makes no progress.
-	IntTol float64
-	Gap    float64 // absolute optimality gap at which to stop, 0 → 1e-7
 	// Deadline is the wall-clock budget for the whole solve; 0 → unlimited.
 	// The check is cooperative, between LP relaxations, so the effective
 	// floor is one simplex solve. On expiry the search stops and returns the
@@ -175,7 +180,7 @@ type Options struct {
 	// StartX, when non-nil, proposes a starting incumbent — typically the
 	// previous hour's optimum re-checked against this hour's constraints. It
 	// is used only if it has the right length, its integer entries are
-	// integral within IntTol, every entry is finite, and the snapped point
+	// integral within intTol, every entry is finite, and the snapped point
 	// satisfies every constraint; otherwise it is silently ignored, so a
 	// stale or infeasible seed can never corrupt the solve. An accepted seed
 	// gives the search an immediate primal bound (Solution.WarmStarted).
@@ -195,12 +200,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxNodes == 0 {
 		o.MaxNodes = 200000
-	}
-	if o.IntTol == 0 {
-		o.IntTol = 1e-4
-	}
-	if o.Gap == 0 {
-		o.Gap = 1e-7
 	}
 	return o
 }
@@ -222,7 +221,7 @@ type node struct {
 	bound  float64     // LP relaxation objective (minimization sense)
 	bounds []branch    // branching bounds accumulated from the root
 	sol    lp.Solution // the already-solved relaxation at this node
-	pseudo bool        // integral within IntTol but with no feasible rounding:
+	pseudo bool        // integral within intTol but with no feasible rounding:
 	// already failed an incumbent repair, must be branched at zero tolerance
 }
 
@@ -362,7 +361,7 @@ func (p *Problem) solveFromRoot(opt Options, start time.Time) Solution {
 	}
 
 	if opt.StartX != nil {
-		if x, obj, ok := p.acceptStart(opt.StartX, opt.IntTol); ok {
+		if x, obj, ok := p.acceptStart(opt.StartX, intTol); ok {
 			rs.seed, rs.seedObj = x, sign*obj
 		}
 	}
@@ -424,11 +423,11 @@ func (p *Problem) branchAndBound(opt Options, start time.Time, rs rootState) Sol
 
 	process := func(bs []branch, sol lp.Solution) {
 		bound := sign * sol.Objective
-		if bound >= incumbentObj-opt.Gap {
+		if bound >= incumbentObj-gapTol {
 			return // dominated
 		}
 		pseudo := false
-		fv := p.mostFractional(sol.X, opt.IntTol)
+		fv := p.mostFractional(sol.X, intTol)
 		if fv < 0 {
 			// Integral within tolerance: repair into an exactly feasible
 			// incumbent (rounding can strand continuous load behind big-M
@@ -480,13 +479,13 @@ func (p *Problem) branchAndBound(opt Options, start time.Time, rs rootState) Sol
 			return s
 		}
 		it := heap.Pop(&h).(*node)
-		if it.bound >= incumbentObj-opt.Gap {
+		if it.bound >= incumbentObj-gapTol {
 			continue // pruned by a newer incumbent
 		}
 		// The node's relaxation was solved when it was pushed; branch on it
 		// directly.
 		sol := it.sol
-		fv := p.mostFractional(sol.X, opt.IntTol)
+		fv := p.mostFractional(sol.X, intTol)
 		if fv < 0 {
 			// Tolerance drift on a re-popped node: try the repair unless this
 			// node already failed it (pseudo), then branch at zero tolerance.
@@ -576,7 +575,7 @@ func diveGrace(d time.Duration) time.Duration {
 }
 
 // repairIncumbent turns a relaxation point whose integer variables are all
-// integral within IntTol into an exactly feasible incumbent. Rounding alone is
+// integral within intTol into an exactly feasible incumbent. Rounding alone is
 // not enough: through a big-M row like x ≤ M·y, a binary at 1e-5 — integral
 // under any practical tolerance — still licenses M·1e-5 worth of continuous x,
 // which becomes a constraint violation the moment y snaps to 0. When the
@@ -638,7 +637,7 @@ func (p *Problem) dive(it *node, relax func([]branch) lp.Solution, opt Options, 
 	bounds := it.bounds
 	sol := it.sol
 	for depth := 0; depth <= 2*p.NumIntegerVars()+1; depth++ {
-		fv := p.mostFractional(sol.X, opt.IntTol)
+		fv := p.mostFractional(sol.X, intTol)
 		if fv < 0 {
 			x, obj, re, ok := p.repairIncumbent(bounds, sol, relax)
 			eff.merge(re)

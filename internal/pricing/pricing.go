@@ -15,6 +15,12 @@ import (
 	"billcap/internal/piecewise"
 )
 
+// CapPenaltyUSDPerMWh is what the supplier charges for every MWh drawn above
+// a site's power cap (paper §I: suppliers "penalize those price makers
+// heavily if this cap is exceeded"): an order of magnitude above the highest
+// Policy 1 rate.
+const CapPenaltyUSDPerMWh = 250
+
 // Policy is the locational pricing policy of one power market region.
 type Policy struct {
 	// Name identifies the policy for reports, e.g. "B/policy1".

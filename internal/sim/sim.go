@@ -55,9 +55,6 @@ type Config struct {
 	PremiumFrac float64
 	// MonthlyBudgetUSD caps the month's bill; +Inf disables capping.
 	MonthlyBudgetUSD float64
-	// CapPenaltyUSDPerMWh prices power-cap violations in the realization
-	// (0 → the core default).
-	CapPenaltyUSDPerMWh float64
 	// DemandChargeUSDPerMWMonth adds a billing-period demand charge: the
 	// month's bill includes this rate times each site's peak metered draw.
 	// The decider sees the same rate plus the peak-so-far ledger, so the MILP
@@ -96,8 +93,6 @@ type Config struct {
 	// instead of starting the month over. One directory serves one run at a
 	// time; do not share it across RunAll strategies.
 	StateDir string
-	// SnapshotEveryHours is the snapshot cadence within StateDir (0 → 24).
-	SnapshotEveryHours int
 	// HaltAfterHours, when > 0, simulates a SIGKILL: the run stops with
 	// ErrHalted once the hour with this absolute index has been durably
 	// recorded, leaving StateDir exactly as a dead process would.
@@ -281,9 +276,8 @@ func Run(cfg Config, decider Decider) (Result, error) {
 		return Result{}, err
 	}
 	truth, err := core.NewSystem(cfg.DCs, cfg.Policies, core.Options{
-		Scope:               dcmodel.FullPower,
-		PriceView:           core.ViewLMP,
-		CapPenaltyUSDPerMWh: cfg.CapPenaltyUSDPerMWh,
+		Scope:     dcmodel.FullPower,
+		PriceView: core.ViewLMP,
 	})
 	if err != nil {
 		return Result{}, err
@@ -455,7 +449,7 @@ func Run(cfg Config, decider Decider) (Result, error) {
 			rec.PenaltyUSD, rec.CapViolations = 0, 0
 			for i, g := range grid {
 				if cap := cfg.DCs[i].PowerCapMW; g > cap+1e-9 {
-					rec.PenaltyUSD += truth.CapPenaltyUSDPerMWh() * (g - cap)
+					rec.PenaltyUSD += pricing.CapPenaltyUSDPerMWh * (g - cap)
 					rec.CapViolations++
 				}
 			}
@@ -513,7 +507,7 @@ func Run(cfg Config, decider Decider) (Result, error) {
 			if err := store.Append(e); err != nil {
 				return Result{}, fmt.Errorf("sim: hour %d: %w", h, err)
 			}
-			if (h+1)%cfg.snapshotEvery() == 0 {
+			if state.SnapshotDue(h + 1) {
 				cp := state.Checkpoint{Hour: h + 1, Forecast: fcState, Resilient: e.Resilient,
 					Peaks: e.Peaks, BatterySoCMWh: e.BatterySoCMWh}
 				if capped {
@@ -538,13 +532,6 @@ func Run(cfg Config, decider Decider) (Result, error) {
 // degradation ladder for checkpointing (ResilientCapping implements it).
 type ladderer interface {
 	Ladder() *core.Resilient
-}
-
-func (c Config) snapshotEvery() int {
-	if c.SnapshotEveryHours <= 0 {
-		return 24
-	}
-	return c.SnapshotEveryHours
 }
 
 // finishResult attaches the final ledger snapshots to a run's result.

@@ -36,7 +36,15 @@ const (
 	// atomic rename makes that nearly impossible, but "nearly" is what this
 	// package exists for).
 	snapKeep = 2
+	// snapshotEvery is the checkpoint cadence in recorded hours; between
+	// snapshots the WAL alone carries the state.
+	snapshotEvery = 24
 )
+
+// SnapshotDue reports whether a controller that has just durably recorded
+// its n-th hour should write a checkpoint. The simulator and capperd share
+// this one cadence.
+func SnapshotDue(n int) bool { return n > 0 && n%snapshotEvery == 0 }
 
 // Checkpoint is the full durable state of one controller: the budget ledger,
 // the degradation-ladder state, and the forecast state. Every field is
@@ -49,7 +57,6 @@ type Checkpoint struct {
 	Budget    *budget.State             `json:"budget,omitempty"`
 	Resilient *core.ResilientState      `json:"resilient,omitempty"`
 	Forecast  *forecast.HourOfWeekState `json:"forecast,omitempty"`
-	EWMA      *forecast.EWMAState       `json:"ewma,omitempty"`
 	// Peaks is the demand-charge ledger: each site's billing-period peak
 	// metered draw so far. Losing it across a restart would let the
 	// controller re-pay demand charges the month already incurred (or worse,
@@ -66,7 +73,6 @@ type Entry struct {
 	Hour      int                  `json:"hour"`
 	SpentUSD  float64              `json:"spentUSD"`
 	Resilient *core.ResilientState `json:"resilient,omitempty"`
-	EWMA      *forecast.EWMAState  `json:"ewma,omitempty"`
 	// Peaks and BatterySoCMWh mirror the checkpoint fields at per-hour
 	// granularity: the full post-hour tariff state, not a delta, so replaying
 	// the last entry is byte-identical to never having crashed.
@@ -426,9 +432,6 @@ func Replay(cp *Checkpoint, entries []Entry) (*Checkpoint, int, error) {
 		}
 		if e.Resilient != nil {
 			out.Resilient = e.Resilient
-		}
-		if e.EWMA != nil {
-			out.EWMA = e.EWMA
 		}
 		if e.Peaks != nil {
 			out.Peaks = e.Peaks

@@ -1,8 +1,11 @@
 package state
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -324,5 +327,64 @@ func TestReplaySkipsSupersededEntries(t *testing.T) {
 	}
 	if replayed != 0 || cp.Budget.SpentUSD != 3 {
 		t.Fatalf("superseded entry not skipped: replayed=%d ledger=%+v", replayed, cp.Budget)
+	}
+}
+
+// TestRestoreIgnoresLegacyEWMAKey pins that a state directory written when
+// snapshots and WAL entries still carried an "ewma" smoother field restores
+// as before: the key is ignored and everything beside it comes back.
+func TestRestoreIgnoresLegacyEWMAKey(t *testing.T) {
+	withEWMA := func(v any) []byte {
+		t.Helper()
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]any
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatal(err)
+		}
+		m["ewma"] = map[string]any{"alpha": 0.2, "value": 5.5, "seen": true}
+		line, err := seal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(line, '\n')
+	}
+	dir := t.TempDir()
+	ref := newLedger(t, 10)
+	for _, sp := range []float64{3, 7} {
+		if err := ref.Record(sp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bs := ref.Snapshot()
+	snap := filepath.Join(dir, fmt.Sprintf("%s%08d%s", snapPrefix, 2, snapSuffix))
+	if err := os.WriteFile(snap, withEWMA(Checkpoint{Hour: 2, Budget: &bs}), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ls := core.ResilientState{LastGoodHour: -1}
+	var wal []byte
+	for h, sp := range []float64{4, 1} {
+		if err := ref.Record(sp); err != nil {
+			t.Fatal(err)
+		}
+		wal = append(wal, withEWMA(Entry{Hour: 2 + h, SpentUSD: sp, Resilient: &ls})...)
+	}
+	if err := os.WriteFile(filepath.Join(dir, walName), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, cp, info, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if info.WALCorruptions != 0 || info.SnapshotFallbacks != 0 || info.WALEntriesReplayed != 2 {
+		t.Fatalf("restore info %+v, want 2 clean WAL entries on a clean snapshot", info)
+	}
+	want := ref.Snapshot()
+	if cp == nil || cp.Hour != 4 || cp.Resilient == nil || cp.Budget == nil || !reflect.DeepEqual(*cp.Budget, want) {
+		t.Fatalf("restored %+v, want hour 4, the ladder and ledger %+v", cp, want)
 	}
 }
