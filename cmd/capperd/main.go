@@ -9,7 +9,7 @@
 // Endpoints: GET /healthz, GET /readyz, GET /metrics, GET /debug/pprof/,
 // GET /v1/sites, GET /v1/policies, POST /v1/decide, POST /v1/decide/batch,
 // POST /v1/realize, POST /v1/model, POST /v1/route, POST /v1/route/batch,
-// GET /v1/route/table, and with -tariff, GET /v1/tariff.
+// GET /v1/route/table and GET /v1/tariff.
 // Example:
 //
 //	curl -s localhost:8080/v1/decide -d '{
@@ -84,7 +84,6 @@ type config struct {
 	decompose    bool
 	stateDir     string
 	driftRatio   float64
-	tariff       bool
 	demandCharge float64
 	battery      string
 }
@@ -104,15 +103,13 @@ func flags(cfg *config) *flag.FlagSet {
 	fs.BoolVar(&cfg.decompose, "decompose", false,
 		"fleet-scale solving: route hour decisions through Lagrangian dual decomposition when the fleet exceeds 20 sites")
 	fs.StringVar(&cfg.stateDir, "state-dir", "",
-		"directory for crash-safe state (WAL + snapshots): resilient decisions are durably logged and a restart restores the degradation ladder instead of zeroing it (empty = stateless)")
+		"directory for crash-safe state (WAL + snapshots): every decide that moves the degradation ladder or the billing position is durably logged, and a restart restores both instead of zeroing them (empty = stateless)")
 	fs.Float64Var(&cfg.driftRatio, "drift-ratio", 2.0,
 		"observed/predicted arrival ratio beyond which the data plane re-solves asynchronously and swaps the routing table (must be > 1; 0 disables drift re-solves)")
-	fs.BoolVar(&cfg.tariff, "tariff", false,
-		"enable the tariff engine: the server holds the billing-period peak ledger and battery bank, serves GET /v1/tariff, and every non-override decision commits against them")
 	fs.Float64Var(&cfg.demandCharge, "demand-charge", 0,
-		"billing-period demand charge in $/MW-month, billed on each site's peak metered draw (implies -tariff)")
+		"billing-period demand charge in $/MW-month, billed on each site's peak metered draw")
 	fs.StringVar(&cfg.battery, "battery", "",
-		"per-site battery as capMWh:maxMW:eff[:socMWh[:valueUSDPerMWh]], e.g. 40:15:0.9 — the same spec at every site (implies -tariff)")
+		"per-site battery as capMWh:maxMW:eff[:socMWh[:valueUSDPerMWh]], e.g. 40:15:0.9 — the same spec at every site")
 	return fs
 }
 
@@ -143,7 +140,7 @@ func main() {
 	if err := srv.SetDriftRatio(cfg.driftRatio); err != nil {
 		log.Fatalf("capperd: %v", err)
 	}
-	if cfg.tariff || cfg.demandCharge > 0 || cfg.battery != "" {
+	if cfg.demandCharge > 0 || cfg.battery != "" {
 		var specs []core.BatterySpec
 		if cfg.battery != "" {
 			spec, err := parseBattery(cfg.battery)
@@ -160,8 +157,6 @@ func main() {
 		if err := srv.EnableTariff(cfg.demandCharge, specs); err != nil {
 			log.Fatalf("capperd: tariff: %v", err)
 		}
-		log.Printf("capperd: tariff engine: demand charge %.0f $/MW-month, batteries %v, GET /v1/tariff live",
-			cfg.demandCharge, cfg.battery != "")
 	}
 	if cfg.stateDir != "" {
 		info, err := srv.EnableState(cfg.stateDir)

@@ -17,6 +17,7 @@
 //	POST /v1/route      admit-and-route one request on the live snapshot (O(1))
 //	POST /v1/route/batch  admit-and-route n requests in closed form
 //	GET  /v1/route/table  live routing snapshot (weights, drift posture)
+//	GET  /v1/tariff     billing position (peak ledger, battery bank)
 //
 // All errors — including 404s, panics and oversized bodies — use one JSON
 // envelope: {"error": "..."}. Status codes follow one contract: malformed or
@@ -43,6 +44,7 @@ import (
 	"billcap/internal/dcmodel"
 	"billcap/internal/obs"
 	"billcap/internal/pricing"
+	"billcap/internal/state"
 )
 
 // maxBodyBytes caps POST request bodies; the control payloads are a few
@@ -68,14 +70,18 @@ type Server struct {
 	// immutable routing snapshot that /v1/route and /v1/route/batch serve
 	// without locks or solving (see route.go).
 	route *RoutePlane
-	// state, when non-nil (see EnableState), persists every resilient
-	// decision so a restart resumes the ladder instead of zeroing it.
-	state *stateLayer
-	// tariff, when non-nil (see EnableTariff), is the billing position
-	// beyond plain energy charges: the demand-charge peak ledger and the
-	// per-site batteries. Every use goes through withTariff.
-	tariff   *controller.Position
-	tariffMu sync.Mutex
+	// journal, when non-nil (see EnableState), records every decide that
+	// changes the ladder or the billing position, under tariffMu; restored
+	// is what it recovered at startup.
+	journal       *controller.Journal
+	restored      state.RestoreInfo
+	persistErrors *obs.Counter
+	// tariff is the billing position: energy charges alone until
+	// EnableTariff adds a demand charge and batteries. Every use holds
+	// tariffMu (see withTariff); tariffSet records that EnableTariff ran.
+	tariff    *controller.Position
+	tariffMu  sync.Mutex
+	tariffSet bool
 
 	draining       atomic.Bool
 	consecDegraded atomic.Int64
@@ -88,11 +94,15 @@ func New(dcs []*dcmodel.Site, policies []pricing.Policy, opts core.Options) (*Se
 	if err != nil {
 		return nil, err
 	}
+	pos, err := controller.New(pricing.Tariff{Energy: policies}, nil)
+	if err != nil {
+		return nil, fmt.Errorf("api: %w", err)
+	}
 	reg := obs.NewRegistry()
 	sys.SetMetrics(core.NewMetrics(reg))
 	s := &Server{
 		sys: sys, resilient: core.NewResilient(sys, core.ResilientOptions{}),
-		sites: dcs, policies: policies,
+		sites: dcs, policies: policies, tariff: pos,
 		mux: http.NewServeMux(), reg: reg, metrics: newHTTPMetrics(reg),
 	}
 	names := make([]string, len(dcs))
@@ -114,6 +124,7 @@ func New(dcs []*dcmodel.Site, policies []pricing.Policy, opts core.Options) (*Se
 	s.handle("/v1/route", s.handleRoute)
 	s.handle("/v1/route/batch", s.handleRouteBatch)
 	s.handle("/v1/route/table", s.handleRouteTable)
+	s.handle("/v1/tariff", s.handleTariff)
 	// Routing totals live in the snapshots' striped counters and the
 	// billing position behind its lock; fold both into the registry so
 	// every scrape is current.
@@ -254,8 +265,8 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 // operator checking /readyz after a restart sees whether the ladder resumed
 // and whether any corruption was truncated on the way.
 func (s *Server) addRestoreStatus(body map[string]any) {
-	if s.state != nil {
-		body["restore"] = s.state.info
+	if s.journal != nil {
+		body["restore"] = s.restored
 	}
 }
 
@@ -343,12 +354,12 @@ type DecideRequest struct {
 	// failures never surface as errors.
 	Resilient bool `json:"resilient,omitempty"`
 
-	// Tariff overrides (all optional). When the server runs with the tariff
-	// engine enabled (-tariff and friends), omitted fields are filled from
-	// its live position — the demand-charge rate, the peak-so-far ledger and
-	// the battery bank — and the decision commits back into that position.
-	// Supplying PeakMW or Batteries explicitly makes the request what-if:
-	// the answer reflects them but nothing is committed.
+	// Tariff overrides (all optional). Omitted fields are filled from the
+	// server's live billing position — the demand-charge rate, the
+	// peak-so-far ledger and the battery bank — and the decision commits
+	// back into that position. Supplying PeakMW or Batteries explicitly
+	// makes the request what-if: the answer reflects them but nothing is
+	// committed.
 	DemandChargeUSDPerMW float64            `json:"demandChargeUSDPerMW,omitempty"`
 	PeakMW               []float64          `json:"peakMW,omitempty"`
 	RTPriceUSDPerMWh     []float64          `json:"rtPriceUSDPerMWh,omitempty"`
@@ -417,7 +428,7 @@ type DecideResponse struct {
 
 // hourInputFrom maps the wire request onto the controller's input; a
 // null/omitted budget means uncapped. Tariff fields the request leaves out
-// are filled from the server's live position when the engine is enabled.
+// are filled from the server's live position.
 func (s *Server) hourInputFrom(req DecideRequest) core.HourInput {
 	in := core.HourInput{
 		Hour:          req.Hour,
@@ -531,8 +542,8 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	// to route leaves the previous table live).
 	s.route.Install(in, dec)
 	// A served (non-override) decision is what the sites will do this hour:
-	// move the stored energy and ratchet the demand-charge ledger, then log
-	// the post-hour position.
+	// move the stored energy and ratchet the demand-charge ledger, then
+	// record the post-hour ladder and position.
 	if err := s.commit(req, in, dec); err != nil {
 		writeErr(w, statusFor(err), err)
 		return

@@ -1,9 +1,12 @@
 package api
 
 import (
+	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -116,5 +119,95 @@ func TestStateFreshDirReportsNoRestore(t *testing.T) {
 	}
 	if restore["restored"] != false {
 		t.Errorf("fresh dir reports restore: %v", restore)
+	}
+}
+
+// TestStateRestoresBackwardsRequestHours pins that request hours do not
+// order the durable record. A client decides hours 100..122 and then hour
+// 5; after a SIGKILL, and after a clean CloseState, the restarted ladder is
+// byte-identical to the ladder the first server last held. When WAL
+// compaction and replay were keyed by the request hour, the checkpoint
+// after hour 5 dropped its own entry and replay folded hour 122 back on
+// top.
+func TestStateRestoresBackwardsRequestHours(t *testing.T) {
+	for _, clean := range []bool{false, true} {
+		name := "sigkill"
+		if clean {
+			name = "close"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s1 := stateServer(t, dir)
+			ts1 := httptest.NewServer(s1.Handler())
+			for _, h := range append(hourRange(100, 122), 5) {
+				if resp := postJSON(t, ts1.URL+"/v1/decide", resilientReq(h), nil); resp.StatusCode != http.StatusOK {
+					t.Fatalf("hour %d: status %d", h, resp.StatusCode)
+				}
+			}
+			ts1.Close()
+			want, err := json.Marshal(s1.Resilient().Snapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if clean {
+				if err := s1.CloseState(); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			s2 := stateServer(t, dir)
+			defer s2.CloseState()
+			got, err := json.Marshal(s2.Resilient().Snapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("restored ladder\n%s\nwant\n%s", got, want)
+			}
+		})
+	}
+}
+
+func hourRange(from, to int) []int {
+	var out []int
+	for h := from; h <= to; h++ {
+		out = append(out, h)
+	}
+	return out
+}
+
+// TestNonResilientCommitSurvivesRestart pins that a plain (non-resilient)
+// decide that commits to the billing position is recorded too: after a
+// SIGKILL the restarted server shows the position the first one held.
+func TestNonResilientCommitSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	boot := func() *Server {
+		s := tariffServer(t, 1500, true)
+		if _, err := s.EnableState(dir); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+
+	s1 := boot()
+	ts1 := httptest.NewServer(s1.Handler())
+	req := resilientReq(3)
+	req.Resilient = false
+	if resp := postJSON(t, ts1.URL+"/v1/decide", req, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("decide: %d", resp.StatusCode)
+	}
+	var before TariffResponse
+	getJSON(t, ts1.URL+"/v1/tariff", &before)
+	ts1.Close()
+	// Simulate SIGKILL: no CloseState.
+
+	s2 := boot()
+	defer s2.CloseState()
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	var after TariffResponse
+	getJSON(t, ts2.URL+"/v1/tariff", &after)
+	if !reflect.DeepEqual(after, before) {
+		t.Errorf("restored position %+v\nwant %+v", after, before)
 	}
 }

@@ -10,17 +10,17 @@ import (
 	"billcap/internal/pricing"
 )
 
-// EnableTariff switches the server's billing model beyond plain energy
-// charges: a demand charge at the given $/MW-month rate (0 disables that
-// component) and optional per-site batteries (nil, or one spec per site; a
-// zero-capacity spec means no battery at that site). Call it at most once,
-// and before EnableState, so a restart restores the peak ledger and battery
-// charge into the enabled tariff.
+// EnableTariff reconfigures the server's billing position beyond plain
+// energy charges: a demand charge at the given $/MW-month rate (0 disables
+// that component) and optional per-site batteries (nil, or one spec per
+// site; a zero-capacity spec means no battery at that site). Call it at
+// most once, and before EnableState, so a restart restores the peak ledger
+// and battery charge into the configured position.
 func (s *Server) EnableTariff(demandChargeUSDPerMWMonth float64, batteries []core.BatterySpec) error {
 	switch {
-	case s.tariff != nil:
+	case s.tariffSet:
 		return errors.New("api: tariff already enabled")
-	case s.state != nil:
+	case s.journal != nil:
 		return errors.New("api: EnableTariff after EnableState would drop the restored position")
 	}
 	pos, err := controller.New(pricing.Tariff{
@@ -30,25 +30,19 @@ func (s *Server) EnableTariff(demandChargeUSDPerMWMonth float64, batteries []cor
 	if err != nil {
 		return fmt.Errorf("api: %w", err)
 	}
-	s.tariff = pos
+	s.tariff, s.tariffSet = pos, true
 	s.reg.Gauge("billcap_tariff_demand_charge_usd_per_mw_month",
 		"Configured demand charge rate.").Set(demandChargeUSDPerMWMonth)
-	s.handle("/v1/tariff", s.handleTariff)
 	return nil
 }
 
-// withTariff runs f on the billing position under its lock and reports
-// whether the tariff engine is on; when it is off, f does not run.
-// Concurrent /v1/decide requests solve in parallel, but they attach and
-// commit one at a time.
-func (s *Server) withTariff(f func(*controller.Position)) bool {
-	if s.tariff == nil {
-		return false
-	}
+// withTariff runs f on the billing position under its lock. Concurrent
+// /v1/decide requests solve in parallel, but they attach and commit one at
+// a time.
+func (s *Server) withTariff(f func(*controller.Position)) {
 	s.tariffMu.Lock()
 	defer s.tariffMu.Unlock()
 	f(s.tariff)
-	return true
 }
 
 // publishTariff mirrors the position onto the billcap_tariff_* gauges at
@@ -57,19 +51,16 @@ func (s *Server) withTariff(f func(*controller.Position)) bool {
 func (s *Server) publishTariff() {
 	var peaks []float64
 	var bats []core.BatterySpec
-	if !s.withTariff(func(p *controller.Position) { peaks, bats = p.Peaks(), p.Batteries() }) {
-		return
-	}
-	peakGauge := s.reg.GaugeVec("billcap_tariff_peak_mw",
-		"Billing-period peak metered draw per site (the demand-charge ledger).", "site")
-	socGauge := s.reg.GaugeVec("billcap_tariff_battery_soc_mwh",
-		"Battery state of charge per site.", "site")
+	s.withTariff(func(p *controller.Position) { peaks, bats = p.Peaks(), p.Batteries() })
 	for i, dc := range s.sites {
 		if s.tariff.DemandRate() > 0 {
-			peakGauge.With(dc.Name).Set(peaks[i])
+			s.reg.GaugeVec("billcap_tariff_peak_mw",
+				"Billing-period peak metered draw per site (the demand-charge ledger).", "site").
+				With(dc.Name).Set(peaks[i])
 		}
 		if bats != nil && bats[i].CapacityMWh > 0 {
-			socGauge.With(dc.Name).Set(bats[i].SoCMWh)
+			s.reg.GaugeVec("billcap_tariff_battery_soc_mwh",
+				"Battery state of charge per site.", "site").With(dc.Name).Set(bats[i].SoCMWh)
 		}
 	}
 }
@@ -92,9 +83,8 @@ type TariffResponse struct {
 }
 
 // handleTariff serves the billing position: the demand-charge ledger and the
-// battery bank. Registered only when EnableTariff ran. The response is built
-// from a copy taken under the lock and written after releasing it, so a slow
-// reader never stalls a commit.
+// battery bank. The response is built from a copy taken under the lock and
+// written after releasing it, so a slow reader never stalls a commit.
 func (s *Server) handleTariff(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeErr(w, http.StatusMethodNotAllowed, errors.New("GET only"))

@@ -259,9 +259,10 @@ func writeEntry(t *testing.T, dir string, e state.Entry) {
 
 // TestTariffConcurrentCommitsFollowWALOrder pins that a decision's commit
 // and its WAL entry happen in one critical section: under concurrent
-// resilient decides, the WAL holds one entry per decide, and replaying the
-// responses' battery actions in WAL order reproduces every entry's charge
-// and peaks exactly.
+// resilient decides, the WAL holds one entry per decide, numbered 0, 1, 2, …
+// by the journal, and some order of the responses replays their battery
+// actions into every entry's charge and peaks exactly. An entry that
+// carried a later decision's battery moves would match no such order.
 func TestTariffConcurrentCommitsFollowWALOrder(t *testing.T) {
 	dir := t.TempDir()
 	s := tariffServer(t, 1500, true)
@@ -314,34 +315,56 @@ func TestTariffConcurrentCommitsFollowWALOrder(t *testing.T) {
 		t.Fatalf("WAL holds %d entries for %d decides", len(entries), decides)
 	}
 	specs := tariffSpecs(3)
-	bats := make([]*battery.Battery, len(specs))
+	for k, e := range entries {
+		if e.Hour != k {
+			t.Fatalf("entry %d numbered %d", k, e.Hour)
+		}
+		if e.Peaks == nil || len(e.Peaks.PeaksMW) != len(specs) || len(e.BatterySoCMWh) != len(specs) {
+			t.Fatalf("entry %d carries no full position: %+v", k, e)
+		}
+	}
+	bats := make([]battery.Battery, len(specs))
 	for i, sp := range specs {
 		b, err := battery.New(sp.CapacityMWh, sp.MaxChargeMW, sp.MaxDischargeMW, sp.Efficiency)
 		if err != nil {
 			t.Fatal(err)
 		}
 		b.SetSoC(sp.SoCMWh)
-		bats[i] = b
+		bats[i] = *b
 	}
-	peaks := make([]float64, len(specs))
-	seen := map[int]bool{}
-	for k, e := range entries {
-		if seen[e.Hour] {
-			t.Fatalf("entry %d: hour %d logged twice", k, e.Hour)
+	// replay searches for the commit order from entry k on, given the
+	// batteries and peaks after the first k commits.
+	used := make([]bool, decides)
+	var replay func(k int, bats []battery.Battery, peaks []float64) bool
+	replay = func(k int, bats []battery.Battery, peaks []float64) bool {
+		if k == decides {
+			return true
 		}
-		seen[e.Hour] = true
-		if e.Peaks == nil || len(e.Peaks.PeaksMW) != len(specs) || len(e.BatterySoCMWh) != len(specs) {
-			t.Fatalf("entry %d (hour %d) carries no full position: %+v", k, e.Hour, e)
-		}
-		for i, a := range resps[e.Hour].Sites {
-			g := bats[i].Discharge(math.Min(a.DischargeMW, a.PowerMW))
-			c := bats[i].Charge(a.ChargeMW)
-			peaks[i] = math.Max(peaks[i], a.PowerMW+c-g)
-			if e.BatterySoCMWh[i] != bats[i].SoC() || e.Peaks.PeaksMW[i] != peaks[i] {
-				t.Fatalf("entry %d (hour %d) site %d: logged SoC %v peak %v, replay gives %v and %v",
-					k, e.Hour, i, e.BatterySoCMWh[i], e.Peaks.PeaksMW[i], bats[i].SoC(), peaks[i])
+		for h, r := range resps {
+			if used[h] {
+				continue
 			}
+			nb, np := append([]battery.Battery(nil), bats...), append([]float64(nil), peaks...)
+			match := true
+			for i, a := range r.Sites {
+				g := nb[i].Discharge(math.Min(a.DischargeMW, a.PowerMW))
+				c := nb[i].Charge(a.ChargeMW)
+				np[i] = math.Max(np[i], a.PowerMW+c-g)
+				match = match && nb[i].SoC() == entries[k].BatterySoCMWh[i] && np[i] == entries[k].Peaks.PeaksMW[i]
+			}
+			if !match {
+				continue
+			}
+			used[h] = true
+			if replay(k+1, nb, np) {
+				return true
+			}
+			used[h] = false
 		}
+		return false
+	}
+	if !replay(0, bats, make([]float64, len(specs))) {
+		t.Fatal("no order of the responses replays into the logged positions")
 	}
 }
 

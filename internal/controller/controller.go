@@ -1,6 +1,7 @@
-// Package controller holds the billing position that the hourly control
-// loop carries from one hour to the next: the composed tariff, the billing
-// period's peak ledger behind its demand charge, and the battery bank.
+// Package controller holds what the hourly control loop carries from one
+// hour to the next: the billing position (the composed tariff, the billing
+// period's peak ledger behind its demand charge, and the battery bank),
+// and the Journal that records it durably.
 //
 // The simulator and capperd drive the same Position. Each hour they Attach
 // the position to the decider's input, decide, and Commit the decision.
@@ -34,7 +35,8 @@ type Position struct {
 // and a battery for each spec with non-zero capacity, charged to its
 // SoCMWh. batteries is nil or holds one spec per site. A spec whose
 // ValueUSDPerMWh is 0 values stored energy at the site's mean LMP, so the
-// MILP charges below that price and discharges above it.
+// MILP charges below that price and discharges above it. An energy-only
+// fleet's position is New(pricing.Tariff{Energy: policies}, nil).
 func New(t pricing.Tariff, batteries []core.BatterySpec) (*Position, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -128,8 +130,9 @@ func (p *Position) Attach(in *core.HourInput) {
 // to the site's draw (no export) and to the stored energy, charge to the
 // battery's rate and headroom, and down sites move no energy. The metered
 // grid draw that results is then billed through Tariff.HourBill, which
-// ratchets the peak ledger. Commit returns the metered draw and the bill;
-// a malformed draw is an error that leaves the position untouched.
+// ratchets the peak ledger under a demand charge. Commit returns the
+// metered draw and the bill; a malformed draw is an error that leaves the
+// position untouched.
 func (p *Position) Commit(in core.HourInput, dec core.Decision, drawMW, demandMW []float64) ([]float64, pricing.Bill, error) {
 	if len(drawMW) != len(p.tariff.Energy) {
 		return nil, pricing.Bill{}, fmt.Errorf("controller: %d draws for %d sites", len(drawMW), len(p.tariff.Energy))
@@ -153,11 +156,20 @@ func (p *Position) Commit(in core.HourInput, dec core.Decision, drawMW, demandMW
 	return grid, bill, err
 }
 
+// Stateful reports whether a commit can move the persistent part of the
+// position: the peak ledger behind a demand charge, or a battery's charge.
+func (p *Position) Stateful() bool { return p.DemandRate() > 0 || p.bats != nil }
+
 // Snapshot returns the position's persistent part as it rides state.Entry
-// and state.Checkpoint: the peak ledger, and each site's battery charge
-// (nil without storage).
+// and state.Checkpoint: the peak ledger (nil without a demand charge, when
+// the ledger cannot move) and each site's battery charge (nil without
+// storage).
 func (p *Position) Snapshot() (*pricing.PeakState, []float64) {
-	ps := p.ledger.Snapshot()
+	var ps *pricing.PeakState
+	if p.DemandRate() > 0 {
+		st := p.ledger.Snapshot()
+		ps = &st
+	}
 	var socs []float64
 	if p.bats != nil {
 		socs = make([]float64, len(p.bats))
@@ -167,7 +179,7 @@ func (p *Position) Snapshot() (*pricing.PeakState, []float64) {
 			}
 		}
 	}
-	return &ps, socs
+	return ps, socs
 }
 
 // Restore folds a recovered snapshot back into the position; a nil part

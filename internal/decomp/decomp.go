@@ -206,25 +206,29 @@ const (
 	// initialTheta is the initial Polyak step scale. It halves after several
 	// consecutive iterations without dual progress.
 	initialTheta = 1.0
+	// gapTol is the relative primal–dual gap at which the loop declares
+	// convergence.
+	gapTol = 1e-3
 )
 
 // Options tune a Solve. The zero value is ready to use.
 type Options struct {
-	// GapTol is the relative primal–dual gap at which the loop declares
-	// convergence; 0 → 1e-3.
-	GapTol float64
 	// Deadline bounds wall-clock time; 0 → unbounded. An expiring solve
 	// answers with its best primal and bound so far.
 	Deadline time.Duration
 	// Cancel aborts the loop early when closed (a context's Done channel).
 	Cancel <-chan struct{}
+
+	// gapAt overrides gapTol when positive, so tests can ask for a gap the
+	// loop never closes and watch the deadline or Cancel stop it.
+	gapAt float64
 }
 
 func (o Options) gapTol() float64 {
-	if o.GapTol <= 0 {
-		return 1e-3
+	if o.gapAt > 0 {
+		return o.gapAt
 	}
-	return o.GapTol
+	return gapTol
 }
 
 // Status reports how a Solve ended.
@@ -232,7 +236,7 @@ type Status int
 
 // Solve outcomes.
 const (
-	// Converged: the primal–dual gap closed below Options.GapTol.
+	// Converged: the primal–dual gap closed below gapTol (0.1%).
 	Converged Status = iota
 	// GapLimit: the iteration, deadline or cancellation budget ran out; the
 	// best feasible primal and dual bound found so far are returned.

@@ -185,7 +185,7 @@ func TestBadlyScaledUnitsStillCloseTheGap(t *testing.T) {
 
 func TestDeadlineAndCancelStopTheLoop(t *testing.T) {
 	fi := milp.NewPaperFleet(30, 3)
-	res, err := Solve(FromFleet(fi), Options{Deadline: time.Nanosecond, GapTol: 1e-12})
+	res, err := Solve(FromFleet(fi), Options{Deadline: time.Nanosecond, gapAt: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestDeadlineAndCancelStopTheLoop(t *testing.T) {
 	}
 	done := make(chan struct{})
 	close(done)
-	res, err = Solve(FromFleet(fi), Options{Cancel: done, GapTol: 1e-12})
+	res, err = Solve(FromFleet(fi), Options{Cancel: done, gapAt: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestCancelStopsPrimalRecovery(t *testing.T) {
 	fi := milp.NewPaperFleet(30, 3)
 	done := make(chan struct{})
 	close(done)
-	res, err := Solve(FromFleet(fi), Options{Cancel: done, GapTol: 1e-12})
+	res, err := Solve(FromFleet(fi), Options{Cancel: done, gapAt: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,8 +34,8 @@ type DecisionTrace struct {
 	PenaltyUSD       float64  `json:"penaltyUSD,omitempty"`
 	CapViolations    int      `json:"capViolations,omitempty"`
 
-	// EnergyUSD / DemandUSD / SettlementUSD decompose RealizedCostUSD when a
-	// tariff beyond plain energy charges is active; all zero otherwise.
+	// EnergyUSD / DemandUSD / SettlementUSD decompose RealizedCostUSD; an
+	// energy-only hour bills EnergyUSD alone.
 	EnergyUSD     float64 `json:"energyUSD,omitempty"`
 	DemandUSD     float64 `json:"demandUSD,omitempty"`
 	SettlementUSD float64 `json:"settlementUSD,omitempty"`
@@ -55,7 +55,7 @@ type SiteTrace struct {
 	On             bool    `json:"on"`
 	// GridMW is the metered supplier draw (differs from PowerMW only when a
 	// co-located battery charged or discharged); SoCMWh is the battery state
-	// of charge after the hour. Both omitted outside tariff runs.
+	// of charge after the hour (0, and so omitted, without a battery).
 	GridMW float64 `json:"gridMW,omitempty"`
 	SoCMWh float64 `json:"socMWh,omitempty"`
 }

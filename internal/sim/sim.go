@@ -67,11 +67,9 @@ type Config struct {
 	Batteries []core.BatterySpec
 	// TwoSettlement bills energy in two settlements: day-ahead commitments
 	// struck from the hour-of-week forecast at DA prices, deviations settled
-	// at a synthesized real-time price series.
+	// at a synthesized real-time price series (a mean-one lognormal
+	// deviation from day-ahead with relative sigma 0.15).
 	TwoSettlement bool
-	// RTSpread is the relative sigma of the real-time price's mean-one
-	// lognormal deviation from day-ahead (0 → 0.15).
-	RTSpread float64
 	// RTSeed seeds the real-time price stream.
 	RTSeed int64
 	// PredictionError optionally corrupts the budgeter's workload
@@ -85,9 +83,9 @@ type Config struct {
 	// inputs (ground truth stays honest), and forced rung failures are
 	// delivered to deciders implementing FaultSink.
 	Faults *Faults
-	// StateDir, when non-empty, makes the run crash-safe: every recorded
-	// hour is appended to a durable WAL in the directory and checkpoints are
-	// snapshotted periodically, exactly as capperd does with -state-dir. A
+	// StateDir, when non-empty, makes the run crash-safe: a
+	// controller.Journal records every hour in the directory, exactly as
+	// capperd does with -state-dir. A
 	// run over a directory with prior state resumes where the crashed run
 	// stopped — restored budget ledger, restored degradation-ladder state —
 	// instead of starting the month over. One directory serves one run at a
@@ -129,8 +127,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: demand charge %v $/MW-month", c.DemandChargeUSDPerMWMonth)
 	case len(c.Batteries) != 0 && len(c.Batteries) != len(c.DCs):
 		return fmt.Errorf("sim: %d batteries for %d sites", len(c.Batteries), len(c.DCs))
-	case math.IsNaN(c.RTSpread) || math.IsInf(c.RTSpread, 0) || c.RTSpread < 0:
-		return fmt.Errorf("sim: RT spread %v", c.RTSpread)
 	}
 	for i, d := range c.Demand {
 		if d.Len() < c.Month.Len() {
@@ -151,21 +147,21 @@ type HourRecord struct {
 	ServedOrdinary  float64
 	HourlyBudget    float64 // available at decision time (+Inf when uncapped)
 	PredictedCost   float64
-	CostUSD         float64 // realized charge (energy, plus demand increment and settlement under a tariff)
+	CostUSD         float64 // realized charge: energy, demand increment and settlement
 	PenaltyUSD      float64 // realized cap penalties
 	Step            core.Step
 	Degraded        core.Degrade
 	CapViolations   int
 	Dropped         float64
-	// EnergyUSD / DemandUSD / SettlementUSD decompose CostUSD when a tariff
-	// beyond plain energy charges is active; all zero otherwise.
+	// EnergyUSD / DemandUSD / SettlementUSD decompose CostUSD; an
+	// energy-only month bills EnergyUSD alone.
 	EnergyUSD     float64
 	DemandUSD     float64
 	SettlementUSD float64
 	// SiteLambda and SitePowerMW record the realized per-site dispatch and
 	// IT draw (site order follows Config.DCs). SiteGridMW is the metered
-	// supplier draw and SiteSoCMWh the post-hour battery charge; both nil
-	// outside tariff runs.
+	// supplier draw (the IT draw when no battery moved) and SiteSoCMWh the
+	// post-hour battery charge (nil without batteries).
 	SiteLambda  []float64
 	SitePowerMW []float64
 	SiteGridMW  []float64
@@ -198,8 +194,8 @@ type Result struct {
 	TotalPenaltyUSD  float64
 
 	// TotalEnergyUSD / TotalDemandUSD / TotalSettlementUSD decompose
-	// TotalCostUSD for tariff runs; PeakMW is the final billing-period peak
-	// ledger (nil outside tariff runs). The demand-charge total telescopes:
+	// TotalCostUSD; PeakMW is the final billing-period peak ledger (all zero
+	// without a demand charge). The demand-charge total telescopes:
 	// Σ hourly increments = DemandChargeUSDPerMWMonth × Σ PeakMW.
 	TotalEnergyUSD     float64
 	TotalDemandUSD     float64
@@ -286,33 +282,31 @@ func Run(cfg Config, decider Decider) (Result, error) {
 	capped := !math.IsInf(cfg.MonthlyBudgetUSD, 1)
 	var budgeter *budget.Budgeter
 	var fcState *forecast.HourOfWeekState
-	var store *state.Store
-	var rinfo *state.RestoreInfo
-	startHour := 0
-
-	var pos *controller.Position
-	if cfg.hasTariff() {
-		pos, err = newPosition(cfg)
-		if err != nil {
-			return Result{}, err
-		}
+	var journal *controller.Journal
+	res := Result{
+		Strategy:         decider.Name(),
+		MonthlyBudgetUSD: cfg.MonthlyBudgetUSD,
+		StepCounts:       map[core.Step]int{},
+		DegradedHours:    map[core.Degrade]int{},
 	}
 
+	pos, err := newPosition(cfg)
+	if err != nil {
+		return Result{}, err
+	}
 	if cfg.StateDir != "" {
-		st, cp, info, err := state.Open(cfg.StateDir)
-		if err != nil {
-			return Result{}, err
+		var ladder *core.Resilient
+		if lc, ok := decider.(ladderer); ok {
+			ladder = lc.Ladder()
 		}
-		store = st
-		defer store.Close()
-		rinfo = &info
+		j, cp, info, err := controller.Open(cfg.StateDir, pos, ladder)
+		if err != nil {
+			return Result{}, fmt.Errorf("sim: %w", err)
+		}
+		journal = j
+		defer journal.Close()
+		res.Restore = &info
 		if cp != nil {
-			startHour = cp.Hour
-			if pos != nil {
-				if err := pos.Restore(cp.Peaks, cp.BatterySoCMWh); err != nil {
-					return Result{}, fmt.Errorf("sim: %w", err)
-				}
-			}
 			if capped {
 				if cp.Budget == nil {
 					return Result{}, fmt.Errorf("sim: state dir %q has no budget ledger to resume from", cfg.StateDir)
@@ -324,13 +318,6 @@ func Run(cfg Config, decider Decider) (Result, error) {
 				if budgeter.Horizon() != cfg.Month.Len() {
 					return Result{}, fmt.Errorf("sim: restored ledger spans %d hours, month has %d",
 						budgeter.Horizon(), cfg.Month.Len())
-				}
-			}
-			if cp.Resilient != nil {
-				if lc, ok := decider.(ladderer); ok {
-					if err := lc.Ladder().Restore(*cp.Resilient); err != nil {
-						return Result{}, fmt.Errorf("sim: %w", err)
-					}
 				}
 			}
 			fcState = cp.Forecast
@@ -356,18 +343,15 @@ func Run(cfg Config, decider Decider) (Result, error) {
 	if capped && cfg.Metrics != nil {
 		budgeter.SetMetrics(budget.NewMetrics(cfg.Metrics))
 	}
-
-	res := Result{
-		Strategy:         decider.Name(),
-		MonthlyBudgetUSD: cfg.MonthlyBudgetUSD,
-		StartHour:        startHour,
-		Restore:          rinfo,
-		StepCounts:       map[core.Step]int{},
-		DegradedHours:    map[core.Degrade]int{},
+	if journal != nil {
+		journal.Carry(budgeter, fcState)
+		res.StartHour = journal.Next()
 	}
+
 	cfg.Faults.deliver(decider)
 	demand := make([]float64, len(cfg.DCs))
-	for h := startHour; h < cfg.Month.Len(); h++ {
+	halted := false
+	for h := res.StartHour; h < cfg.Month.Len() && !halted; h++ {
 		lambda := cfg.Month.At(h) * cfg.Faults.burst(h)
 		premium, ordinary := workload.Split(lambda, cfg.PremiumFrac)
 		for i := range demand {
@@ -385,9 +369,7 @@ func Run(cfg Config, decider Decider) (Result, error) {
 			BudgetUSD:     hourBudget,
 			Down:          cfg.Faults.down(h, len(cfg.DCs)),
 		}
-		if pos != nil {
-			pos.Attach(&in)
-		}
+		pos.Attach(&in)
 		dec, err := decider.Decide(in)
 		if err != nil {
 			return Result{}, fmt.Errorf("sim: hour %d: %w", h, err)
@@ -407,6 +389,18 @@ func Run(cfg Config, decider Decider) (Result, error) {
 			return Result{}, fmt.Errorf("sim: hour %d: %w", h, err)
 		}
 
+		// The market bills the metered grid draw: the position runs the
+		// planned battery actions against the realized IT draw and bills the
+		// meter readings at the true demand. Cap penalties are charged on
+		// the same readings, so charging above a cap is penalized too.
+		itMW := make([]float64, len(real.Sites))
+		for i, sr := range real.Sites {
+			itMW[i] = sr.PowerMW
+		}
+		grid, bill, err := pos.Commit(in, dec, itMW, demand)
+		if err != nil {
+			return Result{}, fmt.Errorf("sim: hour %d: %w", h, err)
+		}
 		rec := HourRecord{
 			Hour:            h,
 			Arrived:         lambda,
@@ -416,42 +410,23 @@ func Run(cfg Config, decider Decider) (Result, error) {
 			ServedOrdinary:  servedOrdinary,
 			HourlyBudget:    hourBudget,
 			PredictedCost:   dec.PredictedCostUSD,
-			CostUSD:         real.CostUSD,
-			PenaltyUSD:      real.PenaltyUSD,
+			CostUSD:         bill.TotalUSD(),
 			Step:            dec.Step,
 			Degraded:        dec.Degraded,
-			CapViolations:   real.CapViolations,
 			Dropped:         real.DroppedLambda,
+			EnergyUSD:       bill.EnergyUSD,
+			DemandUSD:       bill.DemandUSD,
+			SettlementUSD:   bill.SettlementUSD,
 			SiteLambda:      make([]float64, len(real.Sites)),
-			SitePowerMW:     make([]float64, len(real.Sites)),
+			SitePowerMW:     itMW,
+			SiteGridMW:      grid,
 		}
+		_, rec.SiteSoCMWh = pos.Snapshot()
 		for i, sr := range real.Sites {
 			rec.SiteLambda[i] = sr.Lambda
-			rec.SitePowerMW[i] = sr.PowerMW
-		}
-		if pos != nil {
-			// The market bills the metered grid draw, not the IT draw: the
-			// position runs the planned battery actions against the
-			// realized draw and bills the resulting meter readings (energy
-			// + demand increment + settlement) at the true demand. Cap
-			// penalties re-derive on the same meter readings — charging
-			// above the supplier cap is penalized like any other draw.
-			grid, bill, err := pos.Commit(in, dec, rec.SitePowerMW, demand)
-			if err != nil {
-				return Result{}, fmt.Errorf("sim: hour %d: %w", h, err)
-			}
-			rec.CostUSD = bill.TotalUSD()
-			rec.EnergyUSD = bill.EnergyUSD
-			rec.DemandUSD = bill.DemandUSD
-			rec.SettlementUSD = bill.SettlementUSD
-			rec.SiteGridMW = grid
-			_, rec.SiteSoCMWh = pos.Snapshot()
-			rec.PenaltyUSD, rec.CapViolations = 0, 0
-			for i, g := range grid {
-				if cap := cfg.DCs[i].PowerCapMW; g > cap+1e-9 {
-					rec.PenaltyUSD += pricing.CapPenaltyUSDPerMWh * (g - cap)
-					rec.CapViolations++
-				}
+			if cap := cfg.DCs[i].PowerCapMW; grid[i] > cap+1e-9 {
+				rec.PenaltyUSD += pricing.CapPenaltyUSDPerMWh * (grid[i] - cap)
+				rec.CapViolations++
 			}
 		}
 		if capped {
@@ -495,36 +470,21 @@ func Run(cfg Config, decider Decider) (Result, error) {
 			}
 		}
 
-		if store != nil {
-			e := state.Entry{Hour: h, SpentUSD: rec.BillUSD()}
-			if lc, ok := decider.(ladderer); ok {
-				ls := lc.Ladder().Snapshot()
-				e.Resilient = &ls
-			}
-			if pos != nil {
-				e.Peaks, e.BatterySoCMWh = pos.Snapshot()
-			}
-			if err := store.Append(e); err != nil {
+		if journal != nil {
+			if err := journal.Record(rec.BillUSD()); err != nil {
 				return Result{}, fmt.Errorf("sim: hour %d: %w", h, err)
 			}
-			if state.SnapshotDue(h + 1) {
-				cp := state.Checkpoint{Hour: h + 1, Forecast: fcState, Resilient: e.Resilient,
-					Peaks: e.Peaks, BatterySoCMWh: e.BatterySoCMWh}
-				if capped {
-					bs := budgeter.Snapshot()
-					cp.Budget = &bs
-				}
-				if err := store.WriteSnapshot(cp); err != nil {
-					return Result{}, fmt.Errorf("sim: hour %d: %w", h, err)
-				}
-			}
 		}
-		if cfg.HaltAfterHours > 0 && h+1 >= cfg.HaltAfterHours {
-			finishResult(&res, budgeter, pos)
-			return res, ErrHalted
-		}
+		halted = cfg.HaltAfterHours > 0 && h+1 >= cfg.HaltAfterHours
 	}
-	finishResult(&res, budgeter, pos)
+	if budgeter != nil {
+		bs := budgeter.Snapshot()
+		res.Budget = &bs
+	}
+	res.PeakMW = pos.Peaks()
+	if halted {
+		return res, ErrHalted
+	}
 	return res, nil
 }
 
@@ -532,17 +492,6 @@ func Run(cfg Config, decider Decider) (Result, error) {
 // degradation ladder for checkpointing (ResilientCapping implements it).
 type ladderer interface {
 	Ladder() *core.Resilient
-}
-
-// finishResult attaches the final ledger snapshots to a run's result.
-func finishResult(res *Result, budgeter *budget.Budgeter, pos *controller.Position) {
-	if budgeter != nil {
-		bs := budgeter.Snapshot()
-		res.Budget = &bs
-	}
-	if pos != nil {
-		res.PeakMW = pos.Peaks()
-	}
 }
 
 // zeroDownSites clears allocations to sites the hour's fault schedule took
@@ -559,8 +508,8 @@ func zeroDownSites(lambdas []float64, in core.HourInput) float64 {
 }
 
 // decisionTrace flattens one simulated hour into the observability trace
-// record: the decision, the billed ground truth (rec carries the tariff
-// billing when one is active), and the solver effort.
+// record: the decision, the billed ground truth (rec carries the metered
+// draw and the bill), and the solver effort.
 func decisionTrace(cfg Config, h int, in core.HourInput, dec core.Decision, real core.Realization, rec HourRecord) obs.DecisionTrace {
 	tr := obs.DecisionTrace{
 		Hour:             h,
@@ -613,9 +562,7 @@ func decisionTrace(cfg Config, h int, in core.HourInput, dec core.Decision, real
 			PriceUSDPerMWh: sr.PriceUSDPerMWh,
 			CostUSD:        sr.CostUSD,
 			On:             sr.Lambda > 0 || sr.PowerMW > 0,
-		}
-		if rec.SiteGridMW != nil {
-			tr.Sites[i].GridMW = rec.SiteGridMW[i]
+			GridMW:         rec.SiteGridMW[i],
 		}
 		if rec.SiteSoCMWh != nil {
 			tr.Sites[i].SoCMWh = rec.SiteSoCMWh[i]

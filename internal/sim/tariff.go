@@ -11,22 +11,14 @@ import (
 	"billcap/internal/pricing"
 )
 
-// hasTariff reports whether the configuration bills anything beyond plain
-// energy charges (or operates storage, which changes the metered draw).
-func (c Config) hasTariff() bool {
-	return c.DemandChargeUSDPerMWMonth > 0 || c.TwoSettlement || len(c.Batteries) > 0
-}
-
-func (c Config) rtSpread() float64 {
-	if c.RTSpread <= 0 {
-		return 0.15
-	}
-	return c.RTSpread
-}
+// rtSpread is the relative sigma of the real-time price's mean-one
+// lognormal deviation from day-ahead.
+const rtSpread = 0.15
 
 // newPosition assembles the run's billing position over the tariff the
-// market actually bills. One position serves one Run; RunAll runs build one
-// each, so ledgers and batteries never cross-contaminate.
+// market actually bills; an energy-only month's tariff is its energy
+// policies alone. One position serves one Run; RunAll runs build one each,
+// so ledgers and batteries never cross-contaminate.
 func newPosition(cfg Config) (*controller.Position, error) {
 	t := pricing.Tariff{
 		Energy:                    cfg.Policies,
@@ -78,7 +70,7 @@ func strikeDayAhead(cfg Config) (*pricing.TwoSettlement, error) {
 		ts.CommitMW[i] = make([]float64, cfg.Month.Len())
 		ts.RTUSDPerMWh[i] = make([]float64, cfg.Month.Len())
 	}
-	sigma := cfg.rtSpread()
+	sigma := rtSpread // a float64 variable: sigma*sigma/2 rounds in float64, not as an exact constant
 	rng := rand.New(rand.NewSource(cfg.RTSeed + 1))
 	for h := 0; h < cfg.Month.Len(); h++ {
 		for i, dc := range cfg.DCs {

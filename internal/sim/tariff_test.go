@@ -3,9 +3,11 @@ package sim
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"billcap/internal/core"
+	"billcap/internal/dcmodel"
 	"billcap/internal/pricing"
 )
 
@@ -29,13 +31,49 @@ func TestTariffConfigValidate(t *testing.T) {
 		func(c *Config) { c.DemandChargeUSDPerMWMonth = -1 },
 		func(c *Config) { c.DemandChargeUSDPerMWMonth = math.NaN() },
 		func(c *Config) { c.Batteries = testBatteries(2) },
-		func(c *Config) { c.RTSpread = -0.1 },
 	}
 	for i, mut := range mutations {
 		cfg := mustScenario(t, Uncapped(), 1)
 		mut(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
+		}
+	}
+}
+
+// TestEnergyOnlyBillIsRealize pins that an energy-only month, billed
+// through its position like any tariff, charges bit for bit what
+// core.Realize charges: price × IT draw per site, and the cap penalties on
+// the same draw. The meter reads the IT draw, and EnergyUSD is the whole
+// charge.
+func TestEnergyOnlyBillIsRealize(t *testing.T) {
+	cfg := mustScenario(t, TightBudget(), 1)
+	res, err := Run(cfg, mustCapping(t, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth, err := core.NewSystem(cfg.DCs, cfg.Policies, core.Options{Scope: dcmodel.FullPower, PriceView: core.ViewLMP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	demand := make([]float64, len(cfg.DCs))
+	for _, h := range res.Hours {
+		for i := range demand {
+			demand[i] = cfg.Demand[i].At(h.Hour)
+		}
+		real, err := truth.Realize(h.SiteLambda, demand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.CostUSD != real.CostUSD || h.EnergyUSD != real.CostUSD || h.PenaltyUSD != real.PenaltyUSD ||
+			h.CapViolations != real.CapViolations || !reflect.DeepEqual(h.SiteGridMW, h.SitePowerMW) {
+			t.Fatalf("hour %d: billed %v (energy %v, penalty %v, grid %v), Realize %v (penalty %v, draw %v)",
+				h.Hour, h.CostUSD, h.EnergyUSD, h.PenaltyUSD, h.SiteGridMW, real.CostUSD, real.PenaltyUSD, h.SitePowerMW)
+		}
+	}
+	for i, p := range res.PeakMW {
+		if p != 0 {
+			t.Errorf("site %d: peak ledger %v without a demand charge", i, p)
 		}
 	}
 }

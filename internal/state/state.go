@@ -47,9 +47,10 @@ const (
 func SnapshotDue(n int) bool { return n > 0 && n%snapshotEvery == 0 }
 
 // Checkpoint is the full durable state of one controller: the budget ledger,
-// the degradation-ladder state, and the forecast state. Every field is
-// optional — capperd, which receives its budget per-request, persists only
-// the ladder, while the sim harness persists all of it.
+// the degradation-ladder state, the forecast state and the billing position.
+// Every field is optional — capperd, which receives its budget per request,
+// persists the ladder and the position, while the sim harness persists all
+// of it. Both write it through controller.Journal.
 type Checkpoint struct {
 	// Hour is the number of hours fully recorded when the checkpoint was
 	// taken; WAL entries with Hour >= this replay on top.
@@ -85,7 +86,8 @@ type RestoreInfo struct {
 	// Restored is true when any prior state (snapshot or WAL entry) was
 	// recovered; a fresh directory restores nothing.
 	Restored bool `json:"restored"`
-	// Hour is the next hour to be decided after restore.
+	// Hour is the restored cursor, the next record's number: the next hour
+	// to decide for the simulator, the count of records so far for capperd.
 	Hour int `json:"hour"`
 	// WALCorruptions counts torn or CRC-mismatched WAL records dropped by
 	// truncate-and-continue.
@@ -425,9 +427,9 @@ func Replay(cp *Checkpoint, entries []Entry) (*Checkpoint, int, error) {
 			}
 			out.Hour = e.Hour + 1
 		} else if e.Hour+1 > out.Hour {
-			// Without a ledger (capperd persists only the ladder, and request
-			// hours arrive at the caller's whim) entries fold in WAL order —
-			// the last written state wins, gaps are harmless.
+			// Without a ledger (capperd's budget arrives per request) entries
+			// fold in WAL order — the last written state wins, gaps are
+			// harmless, and a WAL numbered by request hour still restores.
 			out.Hour = e.Hour + 1
 		}
 		if e.Resilient != nil {
