@@ -28,22 +28,6 @@ import (
 	"billcap/internal/milp"
 )
 
-// incrementalResult compares a cold hour-by-hour re-solve of the paper-hour
-// family against the incremental path (presolve + previous hour's optimum
-// and root basis as seeds) over the same hour sequence.
-type incrementalResult struct {
-	Sites         int     `json:"sites"`
-	Binaries      int     `json:"binaries"`
-	Hours         int     `json:"hours"`
-	ColdNodes     int     `json:"coldNodes"`
-	WarmNodes     int     `json:"warmNodes"`
-	PresolveFixed int     `json:"presolveFixed"` // binaries fixed across all warm hours
-	WarmStarts    int     `json:"warmStarts"`    // hours whose seed incumbent was accepted
-	ColdWallMS    float64 `json:"coldWallMS"`
-	WarmWallMS    float64 `json:"warmWallMS"`
-	NodeReduction float64 `json:"nodeReduction"` // 1 − warmNodes/coldNodes
-}
-
 // coreResult is one LP core's run of the fixed-budget knapsack instance.
 type coreResult struct {
 	Core             string  `json:"core"`
@@ -95,13 +79,12 @@ type fleetResult struct {
 }
 
 type report struct {
-	Bench       string              `json:"bench"`
-	GoMaxProcs  int                 `json:"goMaxProcs"`
-	MaxNodes    int                 `json:"maxNodes"`
-	Reps        int                 `json:"reps"`
-	LPCores     []coreCompare       `json:"lpCores"`
-	Incremental []incrementalResult `json:"incremental"`
-	Fleet       []fleetResult       `json:"fleet,omitempty"`
+	Bench      string        `json:"bench"`
+	GoMaxProcs int           `json:"goMaxProcs"`
+	MaxNodes   int           `json:"maxNodes"`
+	Reps       int           `json:"reps"`
+	LPCores    []coreCompare `json:"lpCores"`
+	Fleet      []fleetResult `json:"fleet,omitempty"`
 }
 
 // runFleet measures one fleet size, best-of-reps per solver.
@@ -169,49 +152,6 @@ func runCore(sites, maxNodes, reps int, core lp.Core) coreResult {
 	return best
 }
 
-// runIncremental re-solves an hour sequence of the milp.NewPaperHour family
-// twice: cold every hour, and incrementally with presolve plus the previous
-// hour's optimum and root basis. The budget loosens hour over hour (the
-// carry-forward pool of the paper's §III grows through cheap hours), so each
-// hour's optimum is feasible — and a strong incumbent — for the next.
-func runIncremental(sites, hours, maxNodes int) incrementalResult {
-	res := incrementalResult{Sites: sites, Binaries: 5 * sites, Hours: hours}
-	var prev milp.Solution
-	for h := 0; h < hours; h++ {
-		cold := milp.NewPaperHour(sites, milp.PaperHourBudget(sites, h))
-		start := time.Now()
-		cs := cold.SolveWithOptions(milp.Options{MaxNodes: maxNodes})
-		res.ColdWallMS += time.Since(start).Seconds() * 1e3
-		if cs.Status != milp.Optimal && cs.Status != milp.Limit {
-			log.Fatalf("incremental sites=%d hour=%d cold: %v", sites, h, cs.Status)
-		}
-		res.ColdNodes += cs.Nodes
-
-		warm := milp.NewPaperHour(sites, milp.PaperHourBudget(sites, h))
-		opt := milp.Options{MaxNodes: maxNodes, Presolve: true}
-		if h > 0 {
-			opt.StartX = prev.X
-			opt.StartBasis = prev.RootBasis
-		}
-		start = time.Now()
-		ws := warm.SolveWithOptions(opt)
-		res.WarmWallMS += time.Since(start).Seconds() * 1e3
-		if ws.Status != milp.Optimal && ws.Status != milp.Limit {
-			log.Fatalf("incremental sites=%d hour=%d warm: %v", sites, h, ws.Status)
-		}
-		res.WarmNodes += ws.Nodes
-		res.PresolveFixed += ws.PresolveFixed
-		if ws.WarmStarted {
-			res.WarmStarts++
-		}
-		prev = ws
-	}
-	if res.ColdNodes > 0 {
-		res.NodeReduction = 1 - float64(res.WarmNodes)/float64(res.ColdNodes)
-	}
-	return res
-}
-
 func main() {
 	out := flag.String("out", "BENCH_milp.json", "path to write the JSON report")
 	quick := flag.Bool("quick", false, "CI smoke mode: smaller node budget, one repetition")
@@ -244,17 +184,6 @@ func main() {
 		if sites == 20 && cc.Sparse.NodesPerSec < cc.Dense.NodesPerSec {
 			gateOK = false
 		}
-	}
-
-	hours := 12
-	if *quick {
-		hours = 6
-	}
-	for _, sites := range []int{5, 10, 20} {
-		inc := runIncremental(sites, hours, maxNodes)
-		rep.Incremental = append(rep.Incremental, inc)
-		fmt.Printf("incremental sites=%-3d hours=%d  cold=%d nodes  warm=%d nodes  fixed=%d  warmStarts=%d  reduction=%.0f%%\n",
-			sites, inc.Hours, inc.ColdNodes, inc.WarmNodes, inc.PresolveFixed, inc.WarmStarts, 100*inc.NodeReduction)
 	}
 
 	fleetGateOK := true

@@ -80,7 +80,6 @@ type config struct {
 	sites        int
 	drain        time.Duration
 	deadline     time.Duration
-	solverCache  bool
 	decompose    bool
 	stateDir     string
 	driftRatio   float64
@@ -98,8 +97,6 @@ func flags(cfg *config) *flag.FlagSet {
 	fs.DurationVar(&cfg.drain, "drain", 10*time.Second, "graceful shutdown timeout for in-flight requests")
 	fs.DurationVar(&cfg.deadline, "decide-deadline", 5*time.Second,
 		"per-decision solver deadline; an expiring solve answers with its best incumbent (0 = unbounded)")
-	fs.BoolVar(&cfg.solverCache, "solver-cache", false,
-		"incremental hour-over-hour solving: MILP presolve plus a cross-hour warm-start cache (skeleton, basis, incumbent)")
 	fs.BoolVar(&cfg.decompose, "decompose", false,
 		"fleet-scale solving: route hour decisions through Lagrangian dual decomposition when the fleet exceeds 20 sites")
 	fs.StringVar(&cfg.stateDir, "state-dir", "",
@@ -131,7 +128,6 @@ func main() {
 	}
 	srv, err := api.New(dcs, pols, core.Options{
 		SolveDeadline: cfg.deadline,
-		SolverCache:   cfg.solverCache,
 		Decompose:     cfg.decompose,
 	})
 	if err != nil {

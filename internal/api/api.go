@@ -408,9 +408,10 @@ type DecideResponse struct {
 	SolverIncumbents int            `json:"solverIncumbents"`
 	SolverTimeouts   int            `json:"solverTimeouts,omitempty"`
 	SolverWallMS     float64        `json:"solverWallMS"`
-	// SolverPresolveFixed / SolverWarmStarted report the incremental-solving
-	// path (presolved binaries, warm-started solves); 0 unless the server
-	// runs with the solve cache enabled.
+	// SolverPresolveFixed and SolverWarmStarted are always 0 and so never
+	// encoded: the solver has no presolve and no cross-hour warm start. They
+	// stay only because the end-to-end benchmark module reads them; they go
+	// when that benchmark is next changed.
 	SolverPresolveFixed int `json:"solverPresolveFixed,omitempty"`
 	SolverWarmStarted   int `json:"solverWarmStarted,omitempty"`
 	// SolverLPRefactorizations / SolverLPBasisUpdates expose the sparse LP
@@ -466,9 +467,6 @@ func (s *Server) decideResponseFrom(dec core.Decision) DecideResponse {
 		SolverIncumbents: dec.Solver.Incumbents,
 		SolverTimeouts:   dec.Solver.Timeouts,
 		SolverWallMS:     float64(dec.Solver.WallTime.Microseconds()) / 1e3,
-
-		SolverPresolveFixed: dec.Solver.PresolveFixed,
-		SolverWarmStarted:   dec.Solver.WarmStarted,
 
 		SolverLPRefactorizations: dec.Solver.LPRefactorizations,
 		SolverLPBasisUpdates:     dec.Solver.LPBasisUpdates,

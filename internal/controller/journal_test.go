@@ -2,6 +2,10 @@ package controller
 
 import (
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"billcap/internal/budget"
@@ -180,5 +184,74 @@ func TestJournalOpenRejectsWrongFleet(t *testing.T) {
 	if j, _, _, err := Open(dir, newTestPosition(t, 0), nil); err == nil {
 		j.Close()
 		t.Fatal("2-site position restored into 3 sites")
+	}
+}
+
+// TestJournalRestoresDirWithSolverCacheStats pins that a state directory
+// written before the solver's presolve and warm-start counters were removed
+// still restores. Such WAL entries carry "PresolveFixed" and "WarmStarted"
+// keys in the ladder's last-good decision, and each record's CRC covers
+// those payload bytes; the keys are now unknown and must be ignored, not
+// counted as corruption.
+func TestJournalRestoresDirWithSolverCacheStats(t *testing.T) {
+	pos, ladder := newTestPosition(t, 1000), paperLadder(t)
+	in := core.HourInput{Hour: 7, TotalLambda: 1.5e12, PremiumLambda: 1.2e12, DemandMW: []float64{170, 190, 150}, BudgetUSD: 900}
+	dec := ladder.Decide(in)
+	draw := make([]float64, len(dec.Sites))
+	for i, a := range dec.Sites {
+		draw[i] = a.PowerMW
+	}
+	if _, _, err := pos.Commit(in, dec, draw, in.DemandMW); err != nil {
+		t.Fatal(err)
+	}
+
+	var wal []byte
+	for hour := 0; hour < 2; hour++ {
+		ls := ladder.Snapshot()
+		if ls.LastGood == nil {
+			t.Fatal("test setup: the ladder kept no last-good decision")
+		}
+		e := state.Entry{Hour: hour, Resilient: &ls}
+		e.Peaks, e.BatterySoCMWh = pos.Snapshot()
+		payload, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]any
+		if err := json.Unmarshal(payload, &m); err != nil {
+			t.Fatal(err)
+		}
+		solver := m["resilient"].(map[string]any)["lastGood"].(map[string]any)["Solver"].(map[string]any)
+		solver["PresolveFixed"], solver["WarmStarted"] = 4, 2
+		if payload, err = json.Marshal(m); err != nil {
+			t.Fatal(err)
+		}
+		wal = append(wal, fmt.Sprintf(`{"crc":%d,"v":%s}`+"\n", crc32.ChecksumIEEE(payload), payload)...)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wal.log"), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	pos2, ladder2 := newTestPosition(t, 1000), paperLadder(t)
+	j, _, info := openJournal(t, dir, pos2, ladder2)
+	defer j.Close()
+	if info.WALCorruptions != 0 || info.WALEntriesReplayed != 2 || j.Next() != 2 {
+		t.Fatalf("restore info %+v at cursor %d, want 2 clean entries and cursor 2", info, j.Next())
+	}
+	mustJSON := func(v any) string {
+		out, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
+	}
+	if got, want := mustJSON(ladder2.Snapshot()), mustJSON(ladder.Snapshot()); got != want {
+		t.Errorf("restored ladder %s, want %s", got, want)
+	}
+	gotPeaks, gotSoC := pos2.Snapshot()
+	wantPeaks, wantSoC := pos.Snapshot()
+	if mustJSON(gotPeaks) != mustJSON(wantPeaks) || mustJSON(gotSoC) != mustJSON(wantSoC) {
+		t.Errorf("restored position %v %v, want %v %v", gotPeaks, gotSoC, wantPeaks, wantSoC)
 	}
 }

@@ -16,10 +16,9 @@ import (
 // cancellation propagate into branch-and-bound exactly as in DecideHourCtx.
 //
 // The batch is split into contiguous chunks, one per goroutine, each
-// processed in input order. For hour sequences this is the cache-friendly
-// order: with Options.SolverCache on, hour h's optimum seeds hour h+1 inside
-// the same chunk, so a re-optimized horizon warm-starts almost every solve
-// instead of interleaving unrelated hours through the shared cache.
+// processed in input order. No hour's solve depends on another's, so the
+// chunking only spreads the work: every decision equals what DecideHourCtx
+// would return for that hour alone.
 func (s *System) DecideBatch(ctx context.Context, ins []HourInput) ([]Decision, []error) {
 	decs := make([]Decision, len(ins))
 	errs := make([]error, len(ins))

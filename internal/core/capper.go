@@ -98,7 +98,7 @@ func (s *System) decideSteps(in HourInput, so milp.Options) (Decision, error) {
 	}
 
 	// Step 1: minimize cost for everything.
-	d1, err := minCost(in, in.TotalLambda, &stats, so, kindMinCostTotal)
+	d1, err := minCost(in, in.TotalLambda, &stats, so)
 	switch {
 	case err == nil:
 		if d1.PredictedCostUSD <= in.BudgetUSD*(1+budgetSlack)+budgetSlack {
@@ -116,7 +116,7 @@ func (s *System) decideSteps(in HourInput, so milp.Options) (Decision, error) {
 	overCapacity := err != nil
 
 	// Step 2: maximize throughput within the budget.
-	d2, err := maxThroughput(in, &stats, so, kindMaxThroughput)
+	d2, err := maxThroughput(in, &stats, so)
 	if err != nil {
 		return Decision{}, err
 	}
@@ -132,7 +132,7 @@ func (s *System) decideSteps(in HourInput, so milp.Options) (Decision, error) {
 	}
 
 	// Step 2 fallback: serve premium only, at minimum cost, over budget.
-	d3, err := minCost(in, in.PremiumLambda, &stats, so, kindMinCostPremium)
+	d3, err := minCost(in, in.PremiumLambda, &stats, so)
 	if err == nil {
 		d3.Step = StepPremiumOnly
 		d3.ServedPremium = d3.Served
@@ -149,7 +149,7 @@ func (s *System) decideSteps(in HourInput, so milp.Options) (Decision, error) {
 	inPrem := in
 	inPrem.TotalLambda = in.PremiumLambda
 	inPrem.BudgetUSD = math.Inf(1)
-	d4, err := maxThroughput(inPrem, &stats, so, kindMaxPremiumUncapped)
+	d4, err := maxThroughput(inPrem, &stats, so)
 	if err != nil {
 		return Decision{}, err
 	}

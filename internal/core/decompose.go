@@ -138,7 +138,7 @@ func (s *System) decompSites(in HourInput) ([]decomp.Site, error) {
 // decompMinCost is the decomposition drop-in for minimizeCost: serve exactly
 // lambda at minimum predicted cost. Signature-compatible with minimizeCost
 // so decideSteps can swap solvers per call site.
-func (s *System) decompMinCost(in HourInput, lambda float64, stats *SolverStats, so milp.Options, kind solveKind) (Decision, error) {
+func (s *System) decompMinCost(in HourInput, lambda float64, stats *SolverStats, so milp.Options) (Decision, error) {
 	if err := s.ValidateInput(in); err != nil {
 		return Decision{}, err
 	}
@@ -174,7 +174,7 @@ func (s *System) decompMinCost(in HourInput, lambda float64, stats *SolverStats,
 
 // decompMaxThroughput is the decomposition drop-in for maximizeThroughput:
 // admit as much load as possible within the budget.
-func (s *System) decompMaxThroughput(in HourInput, stats *SolverStats, so milp.Options, kind solveKind) (Decision, error) {
+func (s *System) decompMaxThroughput(in HourInput, stats *SolverStats, so milp.Options) (Decision, error) {
 	if err := s.ValidateInput(in); err != nil {
 		return Decision{}, err
 	}

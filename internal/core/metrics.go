@@ -29,8 +29,6 @@ type Metrics struct {
 	milpPivots     *obs.Counter
 	milpIncumbents *obs.Counter
 	milpSeconds    *obs.Histogram
-	presolveFixed  *obs.Counter
-	warmstartHits  *obs.Counter
 
 	lpRefactorizations *obs.Counter
 	lpBasisUpdates     *obs.Counter
@@ -86,10 +84,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"Incumbent improvements found during branch-and-bound."),
 		milpSeconds: reg.Histogram("billcap_milp_seconds",
 			"Wall time spent inside MILP solves per decision, seconds.", obs.DefBuckets),
-		presolveFixed: reg.Counter("billcap_solver_presolve_fixed_total",
-			"Integer variables fixed by MILP presolve before branch-and-bound started."),
-		warmstartHits: reg.Counter("billcap_solver_warmstart_hits_total",
-			"MILP solves seeded with a previous hour's optimum as the starting incumbent."),
 
 		predictedCost: reg.Gauge("billcap_decide_predicted_cost_usd",
 			"Predicted electricity cost of the last decision."),
@@ -164,8 +158,6 @@ func (m *Metrics) observe(s *System, dec Decision, err error, elapsed time.Durat
 	m.lpBasisUpdates.Add(float64(dec.Solver.LPBasisUpdates))
 	m.milpIncumbents.Add(float64(dec.Solver.Incumbents))
 	m.milpSeconds.Observe(dec.Solver.WallTime.Seconds())
-	m.presolveFixed.Add(float64(dec.Solver.PresolveFixed))
-	m.warmstartHits.Add(float64(dec.Solver.WarmStarted))
 	m.decompSolves.Add(float64(dec.Solver.DecompSolves))
 	m.decompIterations.Add(float64(dec.Solver.DecompIterations))
 	if dec.Solver.DecompSolves > 0 {

@@ -33,12 +33,6 @@ type SolverStats struct {
 	Timeouts int
 	// WallTime is the wall-clock time spent inside MILP solves.
 	WallTime time.Duration
-	// PresolveFixed counts integer variables fixed by presolve before the
-	// searches started (0 unless the solve cache is enabled).
-	PresolveFixed int
-	// WarmStarted counts solves that accepted a previous hour's optimum as
-	// their starting incumbent.
-	WarmStarted int
 	// LPRefactorizations and LPBasisUpdates are the sparse LP core's basis
 	// work — LU rebuilds and eta-file updates — across the decision's
 	// relaxations. Both stay 0 when the dense oracle ran the solves.
@@ -66,12 +60,8 @@ func (st *SolverStats) add(sol milp.Solution) {
 	st.LPIterations += sol.Pivots
 	st.Incumbents += sol.Incumbents
 	st.WallTime += sol.Elapsed
-	st.PresolveFixed += sol.PresolveFixed
 	st.LPRefactorizations += sol.LPRefactorizations
 	st.LPBasisUpdates += sol.LPBasisUpdates
-	if sol.WarmStarted {
-		st.WarmStarted++
-	}
 	if sol.Status == milp.TimeLimit {
 		st.Timeouts++
 	}
@@ -99,8 +89,6 @@ func (st *SolverStats) Accumulate(o SolverStats) {
 	st.Incumbents += o.Incumbents
 	st.Timeouts += o.Timeouts
 	st.WallTime += o.WallTime
-	st.PresolveFixed += o.PresolveFixed
-	st.WarmStarted += o.WarmStarted
 	st.LPRefactorizations += o.LPRefactorizations
 	st.LPBasisUpdates += o.LPBasisUpdates
 	st.DecompSolves += o.DecompSolves
@@ -239,18 +227,13 @@ type Decision struct {
 	Solver   SolverStats
 }
 
-// siteVars holds the MILP variable handles of one site, plus the indices of
-// the rows whose coefficients move hour to hour (the solve cache patches
-// exactly these on a cloned skeleton instead of rebuilding the model).
+// siteVars holds the MILP variable handles of one site.
 type siteVars struct {
-	x      int // scaled workload
-	y      int // on/off binary
-	enc    piecewise.Encoded
-	powRow int // affine power link: x coefficient is −a·scale
-	capRow int // capacity link: y coefficient is −xmax/scale
+	x   int // scaled workload
+	y   int // on/off binary
+	enc piecewise.Encoded
 
-	// Tariff-engine variables, −1 when absent. The solve cache never sees
-	// them: tariff hours bypass the skeleton cache (HourInput.hasTariffExtras).
+	// Tariff-engine variables, −1 when absent.
 	chg  int // battery charge draw, MW
 	dis  int // battery discharge, MW
 	peak int // demand-charge exceedance above the ledger's peak-so-far, MW
@@ -315,7 +298,6 @@ func (s *System) buildBase(in HourInput, scale, maxLoad float64) (*milp.Problem,
 				{Var: y, Coef: -sm.affine.B},
 			}, lp.LE, 0)
 		}
-		powRow := m.NumConstraints()
 		m.AddConstraint(link, lp.EQ, 0)
 		if in.DemandChargeUSDPerMW > 0 {
 			// Demand-charge exceedance: e ≥ grid − peak-so-far, e ≥ 0. The
@@ -330,7 +312,6 @@ func (s *System) buildBase(in HourInput, scale, maxLoad float64) (*milp.Problem,
 		}
 		// Capacity: x ≤ min(xmax, λ)·y links load to the on/off state.
 		xmax := math.Min(sm.maxLambda, maxLoad)
-		capRow := m.NumConstraints()
 		m.AddConstraint([]lp.Term{
 			{Var: x, Coef: 1},
 			{Var: y, Coef: -xmax / scale},
@@ -339,7 +320,6 @@ func (s *System) buildBase(in HourInput, scale, maxLoad float64) (*milp.Problem,
 			// Outage: force the site off; the capacity row then pins x = 0.
 			m.AddConstraint([]lp.Term{{Var: y, Coef: 1}}, lp.EQ, 0)
 		}
-		sv.powRow, sv.capRow = powRow, capRow
 		vars[i] = sv
 	}
 	return m, vars, nil
@@ -441,29 +421,25 @@ func (s *System) decisionFrom(sol milp.Solution, vars []siteVars, scale float64,
 // lambda requests/hour at minimum predicted electricity cost subject to the
 // SLA, per-site power caps and the optimizer's price model.
 func (s *System) MinimizeCost(in HourInput, lambda float64, stats *SolverStats) (Decision, error) {
-	return s.minimizeCost(in, lambda, stats, s.solveOptions(), kindMinCostTotal)
+	return s.minimizeCost(in, lambda, stats, s.solveOptions())
 }
 
 // stepOneModel validates the hour and assembles step 1's MILP for lambda
-// requests/hour: the hour skeleton (through the solve cache when cached),
-// Σ x = λ, and the cost plus battery-value objective. The solver and the
-// model dump share it, so a dump is exactly the model the decision solves.
-func (s *System) stepOneModel(in HourInput, lambda float64, cached bool) (
-	m *milp.Problem, vars []siteVars, sig uint64, scale float64, err error) {
+// requests/hour: the hour skeleton, Σ x = λ, and the cost plus
+// battery-value objective. The solver and the model dump share it, so a
+// dump is exactly the model the decision solves.
+func (s *System) stepOneModel(in HourInput, lambda float64) (
+	m *milp.Problem, vars []siteVars, scale float64, err error) {
 	if err := s.ValidateInput(in); err != nil {
-		return nil, nil, 0, 0, err
+		return nil, nil, 0, err
 	}
 	if lambda < 0 || math.IsNaN(lambda) {
-		return nil, nil, 0, 0, fmt.Errorf("%w: negative workload %v", ErrBadInput, lambda)
+		return nil, nil, 0, fmt.Errorf("%w: negative workload %v", ErrBadInput, lambda)
 	}
 	scale = lambdaScale(lambda)
-	if cached {
-		m, vars, sig, err = s.buildHour(in, scale, lambda)
-	} else {
-		m, vars, err = s.buildBase(in, scale, lambda)
-	}
+	m, vars, err = s.buildBase(in, scale, lambda)
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return nil, nil, 0, err
 	}
 	// Σ x = λ: all arrivals must be served in step 1.
 	terms := make([]lp.Term, len(vars))
@@ -477,20 +453,18 @@ func (s *System) stepOneModel(in HourInput, lambda float64, cached bool) (
 	for _, t := range batteryValueTerms(vars, in) {
 		m.SetObjectiveCoef(t.Var, m.ObjectiveCoef(t.Var)+t.Coef)
 	}
-	return m, vars, sig, scale, nil
+	return m, vars, scale, nil
 }
 
-func (s *System) minimizeCost(in HourInput, lambda float64, stats *SolverStats, so milp.Options, kind solveKind) (Decision, error) {
-	m, vars, sig, scale, err := s.stepOneModel(in, lambda, true)
+func (s *System) minimizeCost(in HourInput, lambda float64, stats *SolverStats, so milp.Options) (Decision, error) {
+	m, vars, scale, err := s.stepOneModel(in, lambda)
 	if err != nil {
 		return Decision{}, err
 	}
-	so = s.warmOptions(so, kind, sig, m, vars, in, scale, lambda, true, math.Inf(1))
 	sol := m.SolveWithOptions(so)
 	if stats != nil {
 		stats.add(sol)
 	}
-	s.rememberSolve(kind, sig, sol, m, vars, scale)
 	switch sol.Status {
 	case milp.Optimal:
 	case milp.TimeLimit:
@@ -518,7 +492,7 @@ func (s *System) minimizeCost(in HourInput, lambda float64, stats *SolverStats, 
 //
 //	capperd says hour 412 looks odd → dump it → milpsolve hour412.lp
 func (s *System) WriteHourModel(w io.Writer, in HourInput, lambda float64) error {
-	m, _, _, _, err := s.stepOneModel(in, lambda, false)
+	m, _, _, err := s.stepOneModel(in, lambda)
 	if err != nil {
 		return err
 	}
@@ -529,12 +503,12 @@ func (s *System) WriteHourModel(w io.Writer, in HourInput, lambda float64) error
 // as possible (up to the hour's arrivals) while keeping predicted cost within
 // the budget. Ties in throughput break toward cheaper allocations via a tiny
 // cost penalty.
-func (s *System) maximizeThroughput(in HourInput, stats *SolverStats, so milp.Options, kind solveKind) (Decision, error) {
+func (s *System) maximizeThroughput(in HourInput, stats *SolverStats, so milp.Options) (Decision, error) {
 	if err := s.ValidateInput(in); err != nil {
 		return Decision{}, err
 	}
 	scale := lambdaScale(in.TotalLambda)
-	m, vars, sig, err := s.buildHour(in, scale, in.TotalLambda)
+	m, vars, err := s.buildBase(in, scale, in.TotalLambda)
 	if err != nil {
 		return Decision{}, err
 	}
@@ -561,12 +535,10 @@ func (s *System) maximizeThroughput(in HourInput, stats *SolverStats, so milp.Op
 	for _, t := range batteryValueTerms(vars, in) {
 		m.SetObjectiveCoef(t.Var, m.ObjectiveCoef(t.Var)-epsilon*t.Coef)
 	}
-	so = s.warmOptions(so, kind, sig, m, vars, in, scale, in.TotalLambda, false, in.BudgetUSD)
 	sol := m.SolveWithOptions(so)
 	if stats != nil {
 		stats.add(sol)
 	}
-	s.rememberSolve(kind, sig, sol, m, vars, scale)
 	switch {
 	case sol.Status == milp.Optimal:
 	case sol.Status == milp.TimeLimit && len(sol.X) > 0:

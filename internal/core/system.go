@@ -81,15 +81,6 @@ type Options struct {
 	// proven primal–dual gap in SolverStats{DecompIterations, DecompGap,
 	// DecompDualBound}.
 	Decompose bool
-	// SolverCache enables incremental hour-over-hour solving: the MILP
-	// presolve runs before every search, the hour-invariant model skeleton is
-	// memoized (subsequent hours clone it and patch only the changed
-	// coefficients), and each solve is seeded with the previous hour's
-	// optimal basis and integer solution (re-checked for feasibility) as the
-	// starting incumbent. Purely an acceleration: every seed is screened
-	// before use, so decisions are bitwise-equivalent in objective to cold
-	// solves up to the solver's optimality gap.
-	SolverCache bool
 
 	// lpCore selects the simplex implementation behind every MILP
 	// relaxation. The zero value is the production sparse core; the
@@ -128,17 +119,15 @@ type siteModel struct {
 // instrumentation pointer is the only mutable cell and is accessed
 // atomically, so SetMetrics may race with in-flight decisions without
 // corruption (decisions started before the swap report to the old bundle).
+// Nothing carries from one decision to the next, so every decision is a
+// function of its HourInput alone: any hour can be re-decided, in any order,
+// by any System built from the same sites and options.
 type System struct {
 	Sites []Site
 
 	opts    Options
 	models  []siteModel
 	metrics atomic.Pointer[Metrics] // optional instrumentation (see SetMetrics)
-	// cache is the cross-hour solve cache (nil unless Options.SolverCache).
-	// It is internally locked, so the concurrency contract above still holds:
-	// concurrent decisions race only on which hour's optimum seeds the next
-	// solve, never on correctness.
-	cache *SolveCache
 }
 
 // NewSystem validates and assembles a system with the given optimizer
@@ -151,9 +140,6 @@ func NewSystem(dcs []*dcmodel.Site, policies []pricing.Policy, opts Options) (*S
 		return nil, fmt.Errorf("core: %d data centers but %d policies", len(dcs), len(policies))
 	}
 	s := &System{opts: opts}
-	if opts.SolverCache {
-		s.cache = newSolveCache()
-	}
 	for i, dc := range dcs {
 		if err := dc.Validate(); err != nil {
 			return nil, fmt.Errorf("core: site %d: %w", i, err)
@@ -319,13 +305,6 @@ func (in HourInput) hasBatteries() bool {
 		}
 	}
 	return false
-}
-
-// hasTariffExtras reports whether the hour uses any tariff component beyond
-// the energy-only model — the condition under which the solve cache's
-// skeleton (built without the extra variables and rows) must be bypassed.
-func (in HourInput) hasTariffExtras() bool {
-	return in.DemandChargeUSDPerMW > 0 || in.twoSettlement() || in.hasBatteries()
 }
 
 // settlementUSD is the hour's decision-independent two-settlement position

@@ -12,8 +12,8 @@ import (
 // site's purchased power p, cost is rate·p, the per-site spend cap folds
 // into each segment's upper load bound, and Σz = 1 means no off state.
 // Segments the demand shift or the spend cap make unreachable are dropped
-// (the MILP's presolve proves their binaries 0; here they simply never
-// appear). Objectives match too, so the exact MILP optimum and the
+// (their MILP binaries can only be 0; here they simply never appear).
+// Objectives match too, so the exact MILP optimum and the
 // decomposition's primal/dual values are directly comparable.
 func FromFleet(fi milp.FleetInstance) Instance {
 	inst := Instance{

@@ -46,7 +46,7 @@ func checkFleetFeasible(t *testing.T, fi milp.FleetInstance, res Result) {
 }
 
 // TestFleetDualBoundAndPrimalVsExact is the equivalence oracle: on seeded
-// NewPaperFleet and NewPaperHour instances with N ≤ 20, the decomposition's
+// NewPaperFleet and NewPaperHourFleet instances with N ≤ 20, the decomposition's
 // dual bound must never cut off the exact MILP optimum, and its recovered
 // primal must be feasible and within 1% of that optimum.
 func TestFleetDualBoundAndPrimalVsExact(t *testing.T) {

@@ -176,15 +176,6 @@ func (p *Problem) AddConstraint(terms []Term, rel Rel, rhs float64) int {
 // Constraint returns a copy-free view of row k. Callers must not mutate it.
 func (p *Problem) Constraint(k int) Constraint { return p.constraints[k] }
 
-// SetCoef overwrites the coefficient of variable v in constraint row k. It is
-// the patching primitive behind incremental model reuse: a cached skeleton
-// whose structure (rows, relations, variables) matches the new instance only
-// needs its changed coefficients rewritten instead of a full rebuild.
-func (p *Problem) SetCoef(k, v int, c float64) { p.constraints[k].Coeffs[v] = c }
-
-// SetRHS overwrites the right-hand side of constraint row k.
-func (p *Problem) SetRHS(k int, rhs float64) { p.constraints[k].RHS = rhs }
-
 // Clone returns a deep copy of the problem, so that the copy can gain extra
 // rows (e.g. branching bounds) without disturbing the original.
 func (p *Problem) Clone() *Problem {

@@ -774,14 +774,7 @@ func (s *revSolver) cloneForReSolve() *revSolver {
 // to the dense oracle; every ordinary outcome (including Infeasible,
 // Unbounded, IterLimit) reports ok == true.
 func (p *Problem) solveRevised(opt Options) (Solution, *revSolver, bool) {
-	pr := newRevProblem(p)
-	if len(opt.CrashBasis) > 0 {
-		if sol, s, ok := p.crashRevised(pr, opt); ok {
-			return sol, s, true
-		}
-		// The supplied basis did not fit or could not be repaired; go cold.
-	}
-	s := newRevSolver(pr, opt)
+	s := newRevSolver(newRevProblem(p), opt)
 	st := s.coldSolve()
 	if s.failed {
 		return Solution{}, nil, false
@@ -791,74 +784,4 @@ func (p *Problem) solveRevised(opt Options) (Solution, *revSolver, bool) {
 		return sol, nil, true
 	}
 	return sol, s, true
-}
-
-// crashRevised starts from a caller-supplied basis (WarmStart.Basis of a
-// structurally identical problem): factor it, then repair to optimality with
-// the primal simplex (already feasible) or dual simplex plus primal polish
-// (only dual-feasible). Any screen failure reports ok == false and the
-// caller solves cold; correctness never depends on the supplied basis.
-func (p *Problem) crashRevised(pr *revProblem, opt Options) (Solution, *revSolver, bool) {
-	m, n := pr.m, pr.n
-	cb := opt.CrashBasis
-	if len(cb) != m {
-		return Solution{}, nil, false
-	}
-	seen := make([]bool, n+m)
-	for _, b := range cb {
-		if b < 0 || b >= n+m || seen[b] {
-			return Solution{}, nil, false
-		}
-		seen[b] = true
-	}
-	s := newRevSolver(pr, opt)
-	copy(s.basis, cb)
-	for i, b := range cb {
-		s.inBase[b] = i
-		s.status[b] = isBasic
-	}
-	for j := 0; j < n+m; j++ {
-		if s.status[j] == isBasic {
-			continue
-		}
-		if math.IsInf(pr.lo[j], -1) {
-			s.status[j] = atUpper // GE slacks: the only unbounded-below columns
-		} else {
-			s.status[j] = atLower
-		}
-	}
-	f, ok := factorize(pr, s.basis)
-	if !ok {
-		return Solution{}, nil, false
-	}
-	s.f = f
-	s.computeXB()
-	s.computeDuals()
-
-	feasible := true
-	for i := 0; i < m; i++ {
-		bc := s.basis[i]
-		if s.xB[i] < pr.lo[bc]-1e-7 || s.xB[i] > pr.hi[bc]+1e-7 {
-			feasible = false
-			break
-		}
-	}
-	if !feasible {
-		for j := 0; j < n+m; j++ {
-			if s.status[j] == isBasic || pr.lo[j] == pr.hi[j] {
-				continue
-			}
-			if (s.status[j] == atLower && s.d[j] < -1e-7) ||
-				(s.status[j] == atUpper && s.d[j] > 1e-7) {
-				return Solution{}, nil, false // neither feasible: phase 1 it is
-			}
-		}
-		if st := s.dual(); st != Optimal || s.failed {
-			return Solution{}, nil, false
-		}
-	}
-	if st := s.primal(); st != Optimal || s.failed {
-		return Solution{}, nil, false
-	}
-	return s.extract(p, Optimal), s, true
 }

@@ -69,32 +69,6 @@ func (p *Problem) SolveForWarmStart(opt Options) (*WarmStart, Solution) {
 // Root returns the base problem's optimal solution.
 func (w *WarmStart) Root() Solution { return w.root }
 
-// Basis returns a copy of the optimal basis of the base problem: one basis
-// column index per row, in the recording core's own numbering. The sparse
-// core's layout (structural variables 0..n-1, then the slack of row i at
-// n+i) depends only on the problem's shape, so the basis can seed
-// Options.CrashBasis on a later problem with the same structure — the
-// cross-problem analogue of ReSolve's same-problem warm start. The dense
-// oracle's layout likewise follows from its constraint relations. A basis
-// handed to the other core simply fails its shape screen and the solve goes
-// cold, never wrong.
-func (w *WarmStart) Basis() []int {
-	if w.core == CoreSparse {
-		pr := w.rev.pr
-		out := make([]int, pr.m)
-		for i, b := range w.rev.basis {
-			if b >= pr.n+pr.m {
-				// A redundant row kept its phase-1 artificial basic at zero;
-				// the row's slack is an equivalent crash column.
-				b = pr.n + pr.artRow[b-pr.n-pr.m]
-			}
-			out[i] = b
-		}
-		return out
-	}
-	return append([]int(nil), w.base.basis...)
-}
-
 // ReSolve solves the base problem plus the extra rows, warm-starting the
 // dual simplex from the base optimum. It falls back to a cold two-phase
 // solve if the dual iteration struggles (pivot cap), so the answer is

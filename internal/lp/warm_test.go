@@ -78,6 +78,15 @@ func TestWarmStartWithEqualityBase(t *testing.T) {
 	}
 }
 
+// baseBasis copies the optimal basis of the warm start's base problem, one
+// column per row in the recording core's own numbering.
+func baseBasis(w *WarmStart) []int {
+	if w.core == CoreSparse {
+		return append([]int(nil), w.rev.basis...)
+	}
+	return append([]int(nil), w.base.basis...)
+}
+
 // TestReSolveLeavesBaseIntact verifies that re-solves never write through to
 // the recorded base state: after heavy use the warm start still reports the
 // same root and basis, and answers a fresh re-solve exactly as before —
@@ -97,7 +106,7 @@ func TestReSolveLeavesBaseIntact(t *testing.T) {
 			if root.Status != Optimal {
 				t.Fatalf("root: %v", root.Status)
 			}
-			basis := w.Basis()
+			basis := baseBasis(w)
 			tight := []ExtraRow{{Terms: []Term{{Var: x, Coef: 1}}, Rel: LE, RHS: 1}}
 			loose := []ExtraRow{{Terms: []Term{{Var: y, Coef: 1}}, Rel: LE, RHS: 3}}
 			for i := 0; i < 50; i++ {
@@ -111,9 +120,9 @@ func TestReSolveLeavesBaseIntact(t *testing.T) {
 			if w.Root().Objective != root.Objective {
 				t.Fatalf("root objective moved: %v → %v", root.Objective, w.Root().Objective)
 			}
-			for i, b := range w.Basis() {
+			for i, b := range baseBasis(w) {
 				if b != basis[i] {
-					t.Fatalf("base basis moved at row %d: %v → %v", i, basis, w.Basis())
+					t.Fatalf("base basis moved at row %d: %v → %v", i, basis, baseBasis(w))
 				}
 			}
 		})

@@ -41,38 +41,5 @@ func BenchmarkPaperScaleBnB(b *testing.B) {
 			}
 			b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/s")
 		})
-		// Cold vs warm hour-over-hour re-solve on the paper-hour family
-		// (NewPaperHour closes to proven optimality, unlike the knapsack):
-		// hour 1's optimum and root basis seed hour 2's solve, plus presolve
-		// — the incremental path the core solve cache drives in production.
-		// cmd/benchmilp's incremental section measures the same comparison
-		// across a full hour sequence.
-		seed := NewPaperHour(sites, PaperHourBudget(sites, 1)).
-			SolveWithOptions(Options{MaxNodes: maxNodes})
-		if seed.Status != Optimal {
-			b.Fatalf("paper-hour seed solve: %v", seed.Status)
-		}
-		for _, mode := range []string{"cold", "warm"} {
-			opt := Options{MaxNodes: maxNodes}
-			if mode == "warm" {
-				opt.Presolve = true
-				opt.StartX = seed.X
-				opt.StartBasis = seed.RootBasis
-			}
-			b.Run(fmt.Sprintf("sites=%d/resolve=%s", sites, mode), func(b *testing.B) {
-				b.ReportAllocs()
-				var nodes, pivots int
-				for i := 0; i < b.N; i++ {
-					s := NewPaperHour(sites, PaperHourBudget(sites, 2)).SolveWithOptions(opt)
-					if s.Status != Optimal {
-						b.Fatal(s.Status)
-					}
-					nodes += s.Nodes
-					pivots += s.Pivots
-				}
-				b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
-				b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
-			})
-		}
 	}
 }

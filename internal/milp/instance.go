@@ -64,8 +64,7 @@ func NewHardKnapsack(n int, seed uint64) KnapsackInstance {
 // FleetSeg is one price segment of a fleet-instance site: while the site's
 // purchased power sits in [LoMW, HiMW] it pays RateUSDPerMWh. An empty range
 // (HiMW < LoMW) encodes a segment the demand shift made unreachable; Build
-// still emits its rows (the binary is provably 0), matching the historical
-// NewPaperHour shape bit for bit.
+// still emits its rows (the binary is provably 0).
 type FleetSeg struct {
 	LoMW, HiMW    float64
 	RateUSDPerMWh float64
@@ -95,9 +94,8 @@ type FleetInstance struct {
 // Build assembles the MILP: per site a total-power variable p, per segment a
 // power variable p_k with selection binary z_k and the p_k ∈ [lo·z, hi·z]
 // rows, the p = Σ p_k link, Σ z_k = 1, the site spend cap, and finally the
-// fleet budget row. Variable and constraint order is part of the contract —
-// warm-start and presolve benchmarks rely on instances being reproducible
-// across runs and machines.
+// fleet budget row. Variable and constraint order is part of the contract, so
+// instances are reproducible across runs and machines.
 func (fi FleetInstance) Build() *Problem {
 	m := NewProblem()
 	m.SetMaximize(true)
@@ -125,10 +123,12 @@ func (fi FleetInstance) Build() *Problem {
 	return m
 }
 
-// NewPaperHourFleet is the spec behind NewPaperHour: 5 segments per site,
-// demands with a linear per-site term so equal-bound plateaus don't blow up
-// the search tree, a uniform $27 500 site cap. A pure function of
-// (sites, budget).
+// NewPaperHourFleet is the hourly step-2 shape of the capper for N sites at
+// the given fleet budget: 5 segments per site, demands with a linear
+// per-site term so equal-bound plateaus don't blow up the search tree, a
+// uniform $27 500 site cap. The per-site cap admits a full segment 3 but not
+// the top segment's minimum spend, so the LP relaxation buys fractional top
+// segments with the cap's slack. A pure function of (sites, budget).
 func NewPaperHourFleet(sites int, budget float64) FleetInstance {
 	const segs = 5
 	fi := FleetInstance{BudgetUSD: budget, Epsilon: 1e-4, Sites: make([]FleetSite, sites)}
@@ -145,20 +145,6 @@ func NewPaperHourFleet(sites int, budget float64) FleetInstance {
 		fi.Sites[i] = s
 	}
 	return fi
-}
-
-// NewPaperHour builds the hourly MILP shape of the capper's step 2 for N
-// sites and the given fleet budget: 5 price segments per site, one selection
-// binary per segment, the exact p = Σ p_k piecewise encoding, a per-site
-// spend cap and a shared fleet budget row. The objective maximizes throughput
-// with a small cost tie-break. The per-site cap admits a full segment 3 but
-// not the top segment's minimum spend, so the LP relaxation buys fractional
-// z4 capacity with the cap's slack while presolve can prove z4 = 0 at every
-// site — fixing it genuinely tightens the root bound. The construction is a
-// pure function of (sites, budget), so cold-vs-warm comparisons across runs
-// and machines see identical instances.
-func NewPaperHour(sites int, budget float64) *Problem {
-	return NewPaperHourFleet(sites, budget).Build()
 }
 
 // NewPaperFleet builds a seeded heterogeneous fleet instance for the
@@ -200,10 +186,9 @@ func NewPaperFleet(sites int, seed uint64) FleetInstance {
 // budget multiplier is meaningful.
 func PaperFleetBudget(sites int) float64 { return 21000 * float64(sites) }
 
-// PaperHourBudget is the standard hour-over-hour fleet budget for
-// NewPaperHour: binding at hour 0 and loosening every hour (the paper §III
-// carry-forward pool grows through cheap hours), so each hour's optimum stays
-// feasible — and a strong incumbent — for the next.
+// PaperHourBudget is the standard fleet budget for NewPaperHourFleet:
+// binding at hour 0 and loosening every hour (the paper §III carry-forward
+// pool grows through cheap hours).
 func PaperHourBudget(sites, hour int) float64 {
 	return float64(sites) * (25000 + 150*float64(hour))
 }

@@ -177,8 +177,7 @@ const boundaryEps = 1e-6
 // SegPlan is one reachable segment of an encoding for a given hour: the
 // original segment index and the bounds [Lo, Hi] the segment-power variable
 // must respect when selected. PlanSegments derives the plan; Encode realizes
-// it as rows, and the cross-hour solve cache compares plans across hours to
-// decide whether a cached skeleton can be patched instead of rebuilt.
+// it as MILP rows, and the dual decomposition prices it site by site.
 type SegPlan struct {
 	// Seg is the original segment index in the step function.
 	Seg int
@@ -238,14 +237,6 @@ type Encoded struct {
 	SegRate []float64
 	// Segments[j] is the original segment index of reachable segment j.
 	Segments []int
-	// SegLo, SegHi are the bounds realized for reachable segment j (the plan
-	// values; SegLo may be 0, in which case no lower row exists).
-	SegLo, SegHi []float64
-	// HiRow[j] is the constraint index of p_j ≤ hi_j·z_j; LoRow[j] that of
-	// p_j ≥ lo_j·z_j, or −1 when lo_j = 0 and the row was never added. They
-	// let a cached model skeleton be re-pointed at a new hour's bounds via
-	// Patch without rebuilding the problem.
-	HiRow, LoRow []int
 }
 
 // CostTerms returns the sparse terms Σ_j rate_j·segPower_j representing the
@@ -295,21 +286,14 @@ func Encode(m *milp.Problem, f StepFunction, d, pMax, upperMargin float64, name 
 		pv := m.AddVar(fmt.Sprintf("%s.p%d", name, sp.Seg), 0)
 		zv := m.AddBinVar(fmt.Sprintf("%s.z%d", name, sp.Seg), 0)
 		// p_k ≤ hi·z_k and p_k ≥ lo·z_k.
-		hiRow := m.NumConstraints()
 		m.AddConstraint([]lp.Term{{Var: pv, Coef: 1}, {Var: zv, Coef: -sp.Hi}}, lp.LE, 0)
-		loRow := -1
 		if sp.Lo > 0 {
-			loRow = m.NumConstraints()
 			m.AddConstraint([]lp.Term{{Var: pv, Coef: 1}, {Var: zv, Coef: -sp.Lo}}, lp.GE, 0)
 		}
 		e.SegPower = append(e.SegPower, pv)
 		e.SegBin = append(e.SegBin, zv)
 		e.SegRate = append(e.SegRate, sp.Rate)
 		e.Segments = append(e.Segments, sp.Seg)
-		e.SegLo = append(e.SegLo, sp.Lo)
-		e.SegHi = append(e.SegHi, sp.Hi)
-		e.HiRow = append(e.HiRow, hiRow)
-		e.LoRow = append(e.LoRow, loRow)
 	}
 
 	// p − Σ p_j = 0.
@@ -321,43 +305,4 @@ func Encode(m *milp.Problem, f StepFunction, d, pMax, upperMargin float64, name 
 	// At most one segment active; the caller pins the sum to its indicator.
 	m.AddConstraint(e.SelectorTerms(), lp.LE, 1)
 	return e, nil
-}
-
-// Clone deep-copies the encoding's slices, so a copy used with a cloned
-// model skeleton can be Patched without disturbing the cached original.
-func (e Encoded) Clone() Encoded {
-	e.SegPower = append([]int(nil), e.SegPower...)
-	e.SegBin = append([]int(nil), e.SegBin...)
-	e.SegRate = append([]float64(nil), e.SegRate...)
-	e.Segments = append([]int(nil), e.Segments...)
-	e.SegLo = append([]float64(nil), e.SegLo...)
-	e.SegHi = append([]float64(nil), e.SegHi...)
-	e.HiRow = append([]int(nil), e.HiRow...)
-	e.LoRow = append([]int(nil), e.LoRow...)
-	return e
-}
-
-// Patch re-points an encoding (cloned from a cached skeleton) at a new
-// hour's segment plan by rewriting the z-coefficients of the hi/lo rows in
-// place. It succeeds only when the plan has the same shape the encoding was
-// built with — same reachable segments and the same lo-row pattern — because
-// only then do rows exist for exactly the bounds that must change; any shape
-// drift returns false and the caller rebuilds from scratch.
-func (e *Encoded) Patch(m *milp.Problem, plan []SegPlan) bool {
-	if len(plan) != len(e.Segments) {
-		return false
-	}
-	for j, sp := range plan {
-		if sp.Seg != e.Segments[j] || (sp.Lo > 0) != (e.LoRow[j] >= 0) {
-			return false
-		}
-	}
-	for j, sp := range plan {
-		m.SetCoef(e.HiRow[j], e.SegBin[j], -sp.Hi)
-		if e.LoRow[j] >= 0 {
-			m.SetCoef(e.LoRow[j], e.SegBin[j], -sp.Lo)
-		}
-		e.SegLo[j], e.SegHi[j] = sp.Lo, sp.Hi
-	}
-	return true
 }

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -345,6 +346,9 @@ func loadSnapshot(dir string) (*Checkpoint, int) {
 
 // loadWAL reads every valid record and truncates the file at the first torn
 // or corrupt one: records past a tear are unordered garbage by WAL semantics.
+// A last record without its newline is torn too: Append writes a record and
+// its newline in one write, so such a record was never acknowledged, and
+// keeping it would glue the next append onto the same line.
 func loadWAL(path string) ([]Entry, int, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -358,26 +362,28 @@ func loadWAL(path string) ([]Entry, int, error) {
 	var entries []Entry
 	var good int64
 	corruptions := 0
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
+	r := bufio.NewReader(f)
+	for {
+		line, err := r.ReadBytes('\n')
+		if err == io.EOF {
+			if len(line) > 0 {
+				corruptions++
+			}
+			break
+		}
+		if err != nil {
+			return nil, corruptions, fmt.Errorf("state: %w", err)
+		}
 		var e Entry
 		if err := unseal(line, &e); err != nil {
 			corruptions++
 			break
 		}
 		entries = append(entries, e)
-		good += int64(len(line)) + 1
-	}
-	if err := sc.Err(); err != nil {
-		corruptions++
+		good += int64(len(line))
 	}
 
-	if fi, err := os.Stat(path); err == nil && fi.Size() > good {
-		if corruptions == 0 {
-			corruptions++ // trailing bytes that never formed a full line
-		}
+	if corruptions > 0 {
 		if err := os.Truncate(path, good); err != nil {
 			return nil, corruptions, fmt.Errorf("state: truncating corrupt WAL tail: %w", err)
 		}

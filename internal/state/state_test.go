@@ -14,7 +14,7 @@ import (
 	"billcap/internal/timeseries"
 )
 
-func newLedger(t *testing.T, hours int) *budget.Budgeter {
+func newLedger(t testing.TB, hours int) *budget.Budgeter {
 	t.Helper()
 	pred := make(timeseries.Series, hours)
 	for i := range pred {
