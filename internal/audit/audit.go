@@ -37,7 +37,7 @@ type Site struct {
 	MWPerLambda float64 // affine power model slope (A)
 	IdleMW      float64 // affine power model intercept (B)
 	PowerCapMW  float64 // supplier contract cap
-	SlackMW     float64 // rounding slack the planner may use above the cap
+	SlackMW     float64 // rounding slack the planner must leave below the cap
 	DemandMW    float64 // non-IT draw already on the meter this hour
 	Down        bool    // site is out this hour: any load on it is a violation
 	Price       func(totalMW float64) float64
@@ -179,9 +179,11 @@ func Check(sites []Site, claims []Claim, in Input) error {
 			return fmt.Errorf("audit: site %d: grid %v MW, IT+charge−discharge says %v MW",
 				i, grid, c.PowerMW+c.ChargeMW-c.DischargeMW)
 		}
-		// The supplier cap binds the meter, not the IT draw.
-		if grid > s.PowerCapMW+s.SlackMW+relTol*(1+s.PowerCapMW) {
-			return fmt.Errorf("audit: site %d: grid draw %v MW over supplier cap %v MW (+%v slack)",
+		// The supplier cap binds the meter, not the IT draw, and the plan
+		// must leave the rounding slack free: realizing it rounds the IT
+		// draw up by as much.
+		if grid > s.PowerCapMW-s.SlackMW+relTol*(1+s.PowerCapMW) {
+			return fmt.Errorf("audit: site %d: grid draw %v MW over supplier cap %v MW less %v MW slack",
 				i, grid, s.PowerCapMW, s.SlackMW)
 		}
 		if s.TwoSettlement {

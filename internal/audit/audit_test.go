@@ -127,8 +127,10 @@ func TestCheckBoundaryGrace(t *testing.T) {
 	// Load lands exactly on the 10 MW band boundary: Price(10) = 80, but the
 	// planner deliberately priced it an epsilon inside the cheaper band. The
 	// auditor must accept the cheaper rate rather than reject a correct plan.
+	// The 8 MW draw needs a cap with room for the rounding slack.
 	sites := oneSite()
 	sites[0].MaxLambda = 200
+	sites[0].PowerCapMW = 9
 	s := sites[0]
 	lambda := (10 - s.DemandMW - s.IdleMW) / s.MWPerLambda
 	p := s.MWPerLambda*lambda + s.IdleMW
@@ -136,6 +138,17 @@ func TestCheckBoundaryGrace(t *testing.T) {
 	in := Input{TotalLambda: lambda, BudgetUSD: 1000, ServeAll: true}
 	if err := Check(sites, []Claim{c}, in); err != nil {
 		t.Fatalf("boundary-priced claim rejected: %v", err)
+	}
+
+	// A draw inside (cap − slack, cap] leaves no room for the realized IT
+	// draw to round up, so it is over the cap.
+	for _, capMW := range []float64{p, p + s.SlackMW/2} {
+		sites[0].PowerCapMW = capMW
+		err := Check(sites, []Claim{c}, in)
+		if err == nil || !strings.Contains(err.Error(), "supplier cap") {
+			t.Errorf("draw %v MW against cap %v MW less %v MW slack: got %v, want a cap rejection",
+				p, capMW, s.SlackMW, err)
+		}
 	}
 }
 

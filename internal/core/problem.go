@@ -239,6 +239,17 @@ type siteVars struct {
 	peak int // demand-charge exceedance above the ledger's peak-so-far, MW
 }
 
+// upCapacity is the SLA capacity of the sites not down this hour.
+func (s *System) upCapacity(in HourInput) float64 {
+	c := 0.0
+	for i, sm := range s.models {
+		if !in.SiteDown(i) {
+			c += sm.maxLambda
+		}
+	}
+	return c
+}
+
 // lambdaScale returns the scaling that keeps workload variables around ≤1e3
 // so the tableau mixes well with MW- and binary-magnitude rows.
 func lambdaScale(totalLambda float64) float64 {
@@ -260,8 +271,19 @@ func (s *System) buildBase(in HourInput, scale, maxLoad float64) (*milp.Problem,
 		name := sm.site.DC.Name
 		x := m.AddVar(name+".x", 0)
 		y := m.AddBinVar(name+".y", 0)
-		enc, err := piecewise.Encode(m, s.viewFn(i).Fn, in.DemandMW[i],
-			sm.site.DC.PowerCapMW, sm.site.DC.RoundingSlackMW(), name)
+		// The supplier cap binds the metered draw. Without a battery the
+		// draw is the IT draw, which MaxLambda keeps a rounding slack below
+		// the cap. With one, charge can fill the cap exactly and the
+		// realized IT draw then rounds over it, so the meter gets the same
+		// slack reserved directly.
+		slack := sm.site.DC.RoundingSlackMW()
+		bat := in.battery(i)
+		battery := bat.active() && !in.SiteDown(i)
+		pMax := sm.site.DC.PowerCapMW
+		if battery {
+			pMax -= slack
+		}
+		enc, err := piecewise.Encode(m, s.viewFn(i).Fn, in.DemandMW[i], pMax, slack, name)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: site %s: %w", name, err)
 		}
@@ -278,7 +300,7 @@ func (s *System) buildBase(in HourInput, scale, maxLoad float64) (*milp.Problem,
 			{Var: x, Coef: -sm.affine.A * scale},
 			{Var: y, Coef: -sm.affine.B},
 		}
-		if bat := in.battery(i); bat.active() && !in.SiteDown(i) {
+		if battery {
 			// Charge/discharge bounded natively by rate, room and charge:
 			// η·c ≤ capacity − SoC and g ≤ SoC make any within-bounds plan
 			// realizable by battery.Battery without inter-hour rows.
@@ -372,7 +394,9 @@ func batteryValueTerms(vars []siteVars, in HourInput) []lp.Term {
 func (s *System) decisionFrom(sol milp.Solution, vars []siteVars, scale float64, in HourInput) Decision {
 	d := Decision{Sites: make([]SiteAlloc, len(vars))}
 	for i, v := range vars {
-		lam := sol.X[v.x] * scale
+		// x ≤ maxLambda/scale holds in scaled units; multiplying back can
+		// land an ulp above the SLA limit, which the decision must not.
+		lam := math.Min(sol.X[v.x]*scale, s.models[i].maxLambda)
 		if lam < 0 {
 			lam = 0
 		}
@@ -461,6 +485,13 @@ func (s *System) minimizeCost(in HourInput, lambda float64, stats *SolverStats, 
 	if err != nil {
 		return Decision{}, err
 	}
+	// Σ x = λ cannot hold beyond the up sites' SLA capacity. Far over it
+	// the scaled capacities shrink toward zero and phase 1 stalls instead
+	// of proving infeasibility, so a workload past the LP's tolerance is
+	// refused before the solve.
+	if lambda > s.upCapacity(in)*(1+1e-6) {
+		return Decision{}, fmt.Errorf("%w: %v req/h over %d sites", ErrInfeasible, lambda, len(vars))
+	}
 	sol := m.SolveWithOptions(so)
 	if stats != nil {
 		stats.add(sol)
@@ -507,17 +538,20 @@ func (s *System) maximizeThroughput(in HourInput, stats *SolverStats, so milp.Op
 	if err := s.ValidateInput(in); err != nil {
 		return Decision{}, err
 	}
-	scale := lambdaScale(in.TotalLambda)
-	m, vars, err := s.buildBase(in, scale, in.TotalLambda)
+	// Σ x ≤ λ: cannot serve more than arrives, nor more than the up sites
+	// carry. Scaling by arrivals far past that capacity would shrink every
+	// scaled capacity toward zero, where phase 1 stalls.
+	load := math.Min(in.TotalLambda, s.upCapacity(in))
+	scale := lambdaScale(load)
+	m, vars, err := s.buildBase(in, scale, load)
 	if err != nil {
 		return Decision{}, err
 	}
-	// Σ x ≤ λ: cannot serve more than arrives.
 	terms := make([]lp.Term, len(vars))
 	for i, v := range vars {
 		terms[i] = lp.Term{Var: v.x, Coef: 1}
 	}
-	m.AddConstraint(terms, lp.LE, in.TotalLambda/scale)
+	m.AddConstraint(terms, lp.LE, load/scale)
 	// Budget row (omitted when capping is off). The two-settlement position
 	// is a sunk constant, so the controllable spend must fit what remains of
 	// the budget after it.

@@ -51,7 +51,7 @@ type Resilient struct {
 	opts ResilientOptions
 
 	mu           sync.Mutex
-	lastGood     *Decision
+	lastGood     []float64 // per-site loads of the last audited decision
 	lastGoodHour int
 	lastDemand   []float64
 	lastBudget   float64
@@ -317,14 +317,14 @@ func (r *Resilient) staleReuse(in HourInput) (Decision, bool) {
 	if age < 0 || age > r.opts.maxStale() {
 		return Decision{}, false
 	}
-	lambdas := make([]float64, len(r.lastGood.Sites))
+	lambdas := make([]float64, len(r.lastGood))
 	total := 0.0
-	for i, a := range r.lastGood.Sites {
+	for i, l := range r.lastGood {
 		if in.SiteDown(i) {
 			continue
 		}
-		lambdas[i] = a.Lambda
-		total += a.Lambda
+		lambdas[i] = l
+		total += l
 	}
 	if total > in.TotalLambda && total > 0 {
 		f := in.TotalLambda / total
@@ -394,39 +394,50 @@ func stepFor(in HourInput, d Decision) Step {
 	}
 }
 
-// ResilientState is the ladder's durable state: the last-known-good decision
-// the stale rung replays after a restart, plus the sanitizer's last pristine
-// feed values. It round-trips through JSON for the crash-safe checkpoint
-// layer (internal/state). Fault-injection maps are deliberately excluded —
-// injected faults are a property of a test run, not of the controller.
+// ResilientState is the ladder's durable state: the per-site loads of the
+// last-known-good decision, which the stale rung replays after a restart,
+// plus the sanitizer's last pristine feed values. It round-trips through
+// JSON for the crash-safe checkpoint layer (internal/state). Fault-injection
+// maps are deliberately excluded — injected faults are a property of a test
+// run, not of the controller.
 type ResilientState struct {
-	LastGood     *Decision `json:"lastGood,omitempty"`
-	LastGoodHour int       `json:"lastGoodHour"`
-	LastDemand   []float64 `json:"lastDemand,omitempty"`
-	LastBudget   float64   `json:"lastBudget"`
-	HaveBudget   bool      `json:"haveBudget"`
+	LastGoodLoads []float64 `json:"lastGoodLoads,omitempty"`
+	LastGoodHour  int       `json:"lastGoodHour"`
+	LastDemand    []float64 `json:"lastDemand,omitempty"`
+	LastBudget    float64   `json:"lastBudget"`
+	HaveBudget    bool      `json:"haveBudget"`
 }
 
 // resilientStateJSON is the wire form: JSON has no +Inf, so the sanitizer's
 // uncapped-budget sentinel travels as a flag instead of killing the marshal.
+// LegacyLastGood reads records that stored the whole last-good decision
+// under "lastGood"; only its per-site loads are kept, and it is never
+// written.
 type resilientStateJSON struct {
-	LastGood       *Decision `json:"lastGood,omitempty"`
-	LastGoodHour   int       `json:"lastGoodHour"`
-	LastDemand     []float64 `json:"lastDemand,omitempty"`
-	LastBudget     float64   `json:"lastBudget"`
-	BudgetUncapped bool      `json:"budgetUncapped,omitempty"`
-	HaveBudget     bool      `json:"haveBudget"`
+	LastGoodLoads  []float64       `json:"lastGoodLoads,omitempty"`
+	LegacyLastGood *legacyDecision `json:"lastGood,omitempty"`
+	LastGoodHour   int             `json:"lastGoodHour"`
+	LastDemand     []float64       `json:"lastDemand,omitempty"`
+	LastBudget     float64         `json:"lastBudget"`
+	BudgetUncapped bool            `json:"budgetUncapped,omitempty"`
+	HaveBudget     bool            `json:"haveBudget"`
+}
+
+// legacyDecision is the part of an old whole-decision record the ladder
+// still needs.
+type legacyDecision struct {
+	Sites []struct{ Lambda float64 }
 }
 
 // MarshalJSON encodes the state, folding a +Inf last budget into the
 // budgetUncapped flag.
 func (st ResilientState) MarshalJSON() ([]byte, error) {
 	w := resilientStateJSON{
-		LastGood:     st.LastGood,
-		LastGoodHour: st.LastGoodHour,
-		LastDemand:   st.LastDemand,
-		LastBudget:   st.LastBudget,
-		HaveBudget:   st.HaveBudget,
+		LastGoodLoads: st.LastGoodLoads,
+		LastGoodHour:  st.LastGoodHour,
+		LastDemand:    st.LastDemand,
+		LastBudget:    st.LastBudget,
+		HaveBudget:    st.HaveBudget,
 	}
 	if math.IsInf(st.LastBudget, 1) {
 		w.LastBudget = 0
@@ -435,18 +446,25 @@ func (st ResilientState) MarshalJSON() ([]byte, error) {
 	return json.Marshal(w)
 }
 
-// UnmarshalJSON decodes the wire form, restoring the +Inf sentinel.
+// UnmarshalJSON decodes the wire form, restoring the +Inf sentinel and
+// reading an old record's last-good decision as its per-site loads.
 func (st *ResilientState) UnmarshalJSON(b []byte) error {
 	var w resilientStateJSON
 	if err := json.Unmarshal(b, &w); err != nil {
 		return err
 	}
 	*st = ResilientState{
-		LastGood:     w.LastGood,
-		LastGoodHour: w.LastGoodHour,
-		LastDemand:   w.LastDemand,
-		LastBudget:   w.LastBudget,
-		HaveBudget:   w.HaveBudget,
+		LastGoodLoads: w.LastGoodLoads,
+		LastGoodHour:  w.LastGoodHour,
+		LastDemand:    w.LastDemand,
+		LastBudget:    w.LastBudget,
+		HaveBudget:    w.HaveBudget,
+	}
+	if st.LastGoodLoads == nil && w.LegacyLastGood != nil {
+		st.LastGoodLoads = make([]float64, len(w.LegacyLastGood.Sites))
+		for i, a := range w.LegacyLastGood.Sites {
+			st.LastGoodLoads[i] = a.Lambda
+		}
 	}
 	if w.BudgetUncapped {
 		st.LastBudget = math.Inf(1)
@@ -465,9 +483,7 @@ func (r *Resilient) Snapshot() ResilientState {
 		HaveBudget:   r.haveBudget,
 	}
 	if r.lastGood != nil {
-		cp := *r.lastGood
-		cp.Sites = append([]SiteAlloc(nil), r.lastGood.Sites...)
-		st.LastGood = &cp
+		st.LastGoodLoads = append([]float64(nil), r.lastGood...)
 	}
 	if r.lastDemand != nil {
 		st.LastDemand = append([]float64(nil), r.lastDemand...)
@@ -480,8 +496,8 @@ func (r *Resilient) Snapshot() ResilientState {
 // must fail loudly, not feed the stale rung a wrong-shaped plan.
 func (r *Resilient) Restore(st ResilientState) error {
 	n := len(r.sys.Sites)
-	if st.LastGood != nil && len(st.LastGood.Sites) != n {
-		return fmt.Errorf("core: restore: last-good decision has %d sites, system has %d", len(st.LastGood.Sites), n)
+	if st.LastGoodLoads != nil && len(st.LastGoodLoads) != n {
+		return fmt.Errorf("core: restore: last-good loads have %d sites, system has %d", len(st.LastGoodLoads), n)
 	}
 	if st.LastDemand != nil && len(st.LastDemand) != n {
 		return fmt.Errorf("core: restore: last demand has %d sites, system has %d", len(st.LastDemand), n)
@@ -495,21 +511,16 @@ func (r *Resilient) Restore(st ResilientState) error {
 	if math.IsNaN(st.LastBudget) || math.IsInf(st.LastBudget, -1) || st.LastBudget < 0 {
 		return fmt.Errorf("core: restore: bad budget %v", st.LastBudget)
 	}
-	if st.LastGood != nil {
-		for i, a := range st.LastGood.Sites {
-			if math.IsNaN(a.Lambda) || math.IsInf(a.Lambda, 0) || a.Lambda < 0 ||
-				math.IsNaN(a.PowerMW) || math.IsInf(a.PowerMW, 0) || a.PowerMW < 0 {
-				return fmt.Errorf("core: restore: bad allocation at site %d", i)
-			}
+	for i, l := range st.LastGoodLoads {
+		if math.IsNaN(l) || math.IsInf(l, 0) || l < 0 {
+			return fmt.Errorf("core: restore: bad last-good load %v at site %d", l, i)
 		}
 	}
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if st.LastGood != nil {
-		cp := *st.LastGood
-		cp.Sites = append([]SiteAlloc(nil), st.LastGood.Sites...)
-		r.lastGood = &cp
+	if st.LastGoodLoads != nil {
+		r.lastGood = append([]float64(nil), st.LastGoodLoads...)
 		r.lastGoodHour = st.LastGoodHour
 	} else {
 		r.lastGood = nil
@@ -525,10 +536,9 @@ func (r *Resilient) Restore(st ResilientState) error {
 	return nil
 }
 
-// remember stores a successful decision as the stale rung's reserve.
+// remember stores a successful decision's per-site loads as the stale
+// rung's reserve.
 func (r *Resilient) remember(hour int, dec Decision) {
-	cp := dec
-	cp.Sites = append([]SiteAlloc(nil), dec.Sites...)
-	r.lastGood = &cp
+	r.lastGood = dec.Lambdas()
 	r.lastGoodHour = hour
 }

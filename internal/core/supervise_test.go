@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -113,11 +115,12 @@ func TestSleepWithinRespectsDeadline(t *testing.T) {
 func TestResilientSnapshotRestoreRoundTrip(t *testing.T) {
 	sys := paperSystem(t, Options{})
 	r := NewResilient(sys, ResilientOptions{})
-	if dec := r.Decide(goodInput(7)); dec.Degraded != DegradeNone {
-		t.Fatalf("seed hour degraded: %v", dec.Degraded)
+	seed := r.Decide(goodInput(7))
+	if seed.Degraded != DegradeNone {
+		t.Fatalf("seed hour degraded: %v", seed.Degraded)
 	}
 	st := r.Snapshot()
-	if st.LastGood == nil || st.LastGoodHour != 7 {
+	if !reflect.DeepEqual(st.LastGoodLoads, seed.Lambdas()) || st.LastGoodHour != 7 {
 		t.Fatalf("snapshot missing last-good state: %+v", st)
 	}
 
@@ -136,15 +139,21 @@ func TestResilientSnapshotRestoreRoundTrip(t *testing.T) {
 	if dec.Served <= 0 {
 		t.Error("restored stale reuse served nothing")
 	}
+	r.InjectSolverFailure(8)
+	r.InjectFallbackFailure(8)
+	if want := r.Decide(goodInput(8)); !reflect.DeepEqual(dec, want) {
+		t.Errorf("restored stale reuse %+v, the writing ladder's %+v", dec, want)
+	}
 }
 
 func TestResilientRestoreRejectsWrongFleet(t *testing.T) {
 	sys := paperSystem(t, Options{})
 	r := NewResilient(sys, ResilientOptions{})
-	if err := r.Restore(ResilientState{
-		LastGood: &Decision{Sites: make([]SiteAlloc, 99)},
-	}); err == nil {
+	if err := r.Restore(ResilientState{LastGoodLoads: make([]float64, 99)}); err == nil {
 		t.Fatal("restore accepted a checkpoint from a different fleet")
+	}
+	if err := r.Restore(ResilientState{LastGoodLoads: []float64{1, math.NaN(), 2}}); err == nil {
+		t.Fatal("restore accepted a NaN last-good load")
 	}
 	if err := r.Restore(ResilientState{LastBudget: -5}); err == nil {
 		t.Fatal("restore accepted a negative budget")

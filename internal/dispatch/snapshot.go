@@ -7,33 +7,33 @@ import (
 )
 
 // Snapshot is the data plane's immutable routing view of one capper
-// decision: the per-site weights of a Table and the admission rate of a
-// Gate, compiled into structures every method can use without taking a
-// lock. A control plane builds a fresh Snapshot per decision and swaps it
-// whole behind an atomic.Pointer; request-path goroutines only ever read
-// it, so routing stays wait-free while hour allocations change underneath.
+// decision: the per-site routing weights and the ordinary admission rate,
+// compiled into structures every method can use without taking a lock. A
+// control plane builds a fresh Snapshot per decision and swaps it whole
+// behind an atomic.Pointer; request-path goroutines only ever read it, so
+// routing stays wait-free while hour allocations change underneath.
 //
-// Table.Route is O(N) per request and mutates shared credit state, which
-// would need a mutex at millions of routes per second. Snapshot instead
-// precompiles the routing sequence: at build time it runs a Table for one
-// full cycle (a power-of-two number of requests, patternLen) and stores the
-// resulting site sequence — a Webster wheel. Routing request k is then one
-// atomic fetch-add plus one array read, O(1) and goroutine-safe by
-// construction:
+// Largest-remainder routing (credit every site its weight, send the
+// request to the site with the most credit, charge that site one request)
+// is O(N) per request and mutates shared credit state, which would need a
+// mutex at millions of routes per second. Snapshot instead precompiles the
+// routing sequence: at build time it runs those credits for one full cycle
+// (a power-of-two number of requests, patternLen) and stores the resulting
+// site sequence — a Webster wheel. Routing request k is then one atomic
+// fetch-add plus one array read, O(1) and goroutine-safe by construction:
 //
 //	site(k) = pattern[k mod len(pattern)]
 //
-// Within one cycle the wheel inherits the Table's low-discrepancy
-// guarantee (every prefix of n requests puts each site within ±1.5 of
-// n·weight, and SnapshotOf(t).RouteN(n) equals t.RouteN(n) exactly for
-// n ≤ PatternLen). Each full cycle routes exactly the largest-remainder
+// Within one cycle the wheel has the largest-remainder low-discrepancy
+// guarantee: every prefix of n requests puts each site within ±1.5 of
+// n·weight. Each full cycle routes exactly the largest-remainder
 // apportionment of patternLen requests, so across m wrapped cycles the
 // worst per-site deviation grows only as m·|cycleCount − patternLen·w| < m
 // — at the default 65536-entry wheel, under 0.002% of the routed volume.
 //
-// Admission is the same trick on the Gate: an atomic ordinal k admits the
-// ordinary request iff ⌊rate·k⌋ > ⌊rate·(k−1)⌋, the deterministic
-// largest-remainder pacing of Gate.Admit without its mutable credit.
+// Admission is the same trick: an atomic ordinal k admits the ordinary
+// request iff ⌊rate·k⌋ > ⌊rate·(k−1)⌋, deterministic largest-remainder
+// pacing without a mutable credit.
 type Snapshot struct {
 	weights      []float64
 	ordinaryRate float64
@@ -81,28 +81,46 @@ func patternLen(n int) int {
 }
 
 // NewSnapshot compiles one decision into an immutable routing snapshot:
-// lambdas are the decision's per-site loads (at least one positive), the
-// gate pair is the decision's served vs arrived ordinary traffic (see
-// NewGate), hour is the decision's hour index, and version is the control
-// plane's swap counter, carried so routed responses can say which table
-// answered.
+// lambdas are the decision's per-site loads (finite, non-negative, at least
+// one positive), the gate pair is the decision's served vs arrived ordinary
+// traffic (finite and non-negative; the admitted fraction is their ratio
+// clamped to 1, and 1 when nothing ordinary arrived), hour is the
+// decision's hour index, and version is the control plane's swap counter,
+// carried so routed responses can say which table answered.
 func NewSnapshot(lambdas []float64, servedOrdinary, arrivedOrdinary float64, hour int, version uint64) (*Snapshot, error) {
-	if len(lambdas) > math.MaxUint16 {
-		return nil, fmt.Errorf("dispatch: %d sites exceed the %d-site snapshot limit", len(lambdas), math.MaxUint16)
-	}
-	tbl, err := NewTable(lambdas)
-	if err != nil {
-		return nil, err
-	}
-	gate, err := NewGate(servedOrdinary, arrivedOrdinary)
-	if err != nil {
-		return nil, err
-	}
 	n := len(lambdas)
+	if n > math.MaxUint16 {
+		return nil, fmt.Errorf("dispatch: %d sites exceed the %d-site snapshot limit", n, math.MaxUint16)
+	}
+	if n == 0 {
+		return nil, fmt.Errorf("dispatch: no sites")
+	}
+	total := 0.0
+	for i, l := range lambdas {
+		if l < 0 || math.IsNaN(l) || math.IsInf(l, 0) {
+			return nil, fmt.Errorf("dispatch: bad load %v at site %d", l, i)
+		}
+		total += l
+	}
+	if total <= 0 {
+		return nil, fmt.Errorf("dispatch: all-zero allocation")
+	}
+	if math.IsInf(total, 0) {
+		// Each load is finite but the sum overflowed; weights would all
+		// collapse to 0.
+		return nil, fmt.Errorf("dispatch: total load overflows")
+	}
+	if !isFiniteNonNeg(servedOrdinary) || !isFiniteNonNeg(arrivedOrdinary) {
+		return nil, fmt.Errorf("dispatch: bad rates %v/%v", servedOrdinary, arrivedOrdinary)
+	}
+	rate := 1.0
+	if arrivedOrdinary > 0 {
+		rate = math.Min(1, servedOrdinary/arrivedOrdinary)
+	}
 	l := patternLen(n)
 	s := &Snapshot{
-		weights:      tbl.Weights(),
-		ordinaryRate: gate.OrdinaryRate(),
+		weights:      make([]float64, n),
+		ordinaryRate: rate,
 		hour:         hour,
 		version:      version,
 		pattern:      make([]uint16, l),
@@ -110,10 +128,25 @@ func NewSnapshot(lambdas []float64, servedOrdinary, arrivedOrdinary float64, hou
 		perCycle:     make([]int64, n),
 		shards:       make([]countShard, countShardCount),
 	}
+	for i, v := range lambdas {
+		s.weights[i] = v / total
+	}
+	// Largest-remainder wheel: each request credits every site its weight
+	// and goes to the site with the most credit, which then pays one
+	// request back.
+	credit := make([]float64, n)
 	for k := range s.pattern {
-		site := tbl.Route()
-		s.pattern[k] = uint16(site)
-		s.perCycle[site]++
+		best, bestCredit := 0, math.Inf(-1)
+		for i, w := range s.weights {
+			credit[i] += w
+			if credit[i] > bestCredit {
+				bestCredit = credit[i]
+				best = i
+			}
+		}
+		credit[best]--
+		s.pattern[k] = uint16(best)
+		s.perCycle[best]++
 	}
 	// Pad each stripe to a cache line so neighboring shards never share one.
 	padded := (n + 7) &^ 7
@@ -123,12 +156,11 @@ func NewSnapshot(lambdas []float64, servedOrdinary, arrivedOrdinary float64, hou
 	return s, nil
 }
 
-// SnapshotOf compiles an existing decision's table and gate (both may have
-// routed already; the snapshot starts from their configured weights and
-// rate, not their credit state).
-func SnapshotOf(t *Table, g *Gate, hour int, version uint64) (*Snapshot, error) {
-	lambdas := t.Weights()
-	return NewSnapshot(lambdas, g.OrdinaryRate(), 1, hour, version)
+// isFiniteNonNeg reports whether v is a usable rate: finite and ≥ 0. A NaN
+// slips past plain `v < 0` (every comparison with NaN is false), which
+// would build a gate whose NaN rate silently drops all ordinary traffic.
+func isFiniteNonNeg(v float64) bool {
+	return v >= 0 && !math.IsInf(v, 0)
 }
 
 // Route assigns the next request and returns its site index. Wait-free: one
@@ -169,8 +201,7 @@ func (s *Snapshot) RouteBatch(n int) []int64 {
 	return counts
 }
 
-// RouteN assigns n requests one by one and returns the per-site counts —
-// the Table-compatible form used by equivalence tests.
+// RouteN assigns n requests one by one and returns the per-site counts.
 func (s *Snapshot) RouteN(n int) []int {
 	counts := make([]int, len(s.weights))
 	for k := 0; k < n; k++ {
@@ -180,8 +211,8 @@ func (s *Snapshot) RouteN(n int) []int {
 }
 
 // Admit decides one request. Premium always passes; ordinary requests are
-// paced at the snapshot's admission rate by ordinal arithmetic — the
-// largest-remainder spacing of Gate.Admit without its mutable credit.
+// paced at the snapshot's admission rate by ordinal arithmetic, so
+// admissions are evenly spread rather than bursty.
 func (s *Snapshot) Admit(c Class) bool {
 	if c == Premium {
 		return true
@@ -250,6 +281,6 @@ func (s *Snapshot) Version() uint64 { return s.version }
 // NumSites returns the number of sites in the table.
 func (s *Snapshot) NumSites() int { return len(s.weights) }
 
-// PatternLen returns the wheel length: the cycle within which RouteN
-// matches Table.RouteN exactly.
+// PatternLen returns the wheel length: the cycle after which the routing
+// sequence repeats.
 func (s *Snapshot) PatternLen() int { return len(s.pattern) }

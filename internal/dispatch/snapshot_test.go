@@ -17,18 +17,38 @@ func mustSnapshot(t *testing.T, lambdas []float64, served, arrived float64) *Sna
 	return s
 }
 
+// TestNewSnapshotValidation pins every rejection on the production
+// constructor. Two historical bugs are among the cases: +Inf loads passed a
+// `l < 0 || math.IsNaN(l)` check and collapsed every weight to 0 or NaN (a
+// table routing everything to site 0 or nowhere), and a NaN served rate
+// passed `served < 0` and built a gate that dropped every ordinary request
+// forever.
 func TestNewSnapshotValidation(t *testing.T) {
-	if _, err := NewSnapshot(nil, 0, 0, 0, 1); err == nil {
-		t.Error("empty snapshot accepted")
-	}
-	if _, err := NewSnapshot([]float64{0, 0}, 0, 0, 0, 1); err == nil {
-		t.Error("all-zero allocation accepted")
-	}
-	if _, err := NewSnapshot([]float64{1, math.Inf(1)}, 0, 0, 0, 1); err == nil {
-		t.Error("+Inf load accepted")
-	}
-	if _, err := NewSnapshot([]float64{1, 2}, math.NaN(), 10, 0, 1); err == nil {
-		t.Error("NaN gate accepted")
+	inf, nan := math.Inf(1), math.NaN()
+	for _, c := range []struct {
+		name            string
+		lambdas         []float64
+		served, arrived float64
+	}{
+		{"empty", nil, 0, 0},
+		{"all-zero allocation", []float64{0, 0}, 0, 0},
+		{"negative load", []float64{1, -1}, 0, 0},
+		{"NaN load", []float64{1, nan}, 0, 0},
+		{"+Inf load", []float64{1e12, inf}, 0, 0},
+		{"all-Inf loads", []float64{inf, inf}, 0, 0},
+		{"-Inf load", []float64{1, math.Inf(-1)}, 0, 0},
+		{"overflowing total", []float64{math.MaxFloat64, math.MaxFloat64}, 0, 0},
+		{"NaN served", []float64{1, 2}, nan, 100},
+		{"NaN arrived", []float64{1, 2}, 30, nan},
+		{"+Inf served", []float64{1, 2}, inf, 100},
+		{"+Inf arrived", []float64{1, 2}, 30, inf},
+		{"-Inf served", []float64{1, 2}, math.Inf(-1), 100},
+		{"negative served", []float64{1, 2}, -1, 10},
+		{"negative arrived", []float64{1, 2}, 1, -10},
+	} {
+		if _, err := NewSnapshot(c.lambdas, c.served, c.arrived, 0, 1); err == nil {
+			t.Errorf("%s: NewSnapshot(%v, %v, %v) accepted", c.name, c.lambdas, c.served, c.arrived)
+		}
 	}
 }
 

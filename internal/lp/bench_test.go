@@ -30,7 +30,7 @@ func BenchmarkWarmReSolve(b *testing.B) {
 	if root.Status != Optimal {
 		b.Fatal(root.Status)
 	}
-	row := []ExtraRow{{Terms: []Term{{Var: 0, Coef: 1}}, Rel: LE, RHS: root.X[0] / 2}}
+	row := []Bound{{Var: 0, Rel: LE, Value: root.X[0] / 2}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

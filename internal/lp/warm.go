@@ -3,7 +3,7 @@ package lp
 import "math"
 
 // WarmStart captures an optimally solved base state so that closely related
-// problems — the original plus a few extra inequality rows, exactly what
+// problems — the original plus a few variable bounds, exactly what
 // branch-and-bound generates — can be re-solved by the dual simplex method
 // from the parent's basis instead of from scratch. This is the warm-start
 // strategy MILP solvers like lp_solve use, and it is what makes the B&B
@@ -11,8 +11,7 @@ import "math"
 //
 // The state is recorded by whichever core produced the base optimum and all
 // ReSolves (including their cold fallbacks) stay on that core. On the sparse
-// core, single-variable extra rows — all that branch and bound ever generates
-// — become bound tightenings on the frozen solver state, so a node re-solve
+// core the bounds tighten the frozen solver state's own, so a node re-solve
 // works on a basis of the same size as the root instead of a grown tableau.
 type WarmStart struct {
 	problem *Problem
@@ -28,17 +27,17 @@ type WarmStart struct {
 	rev *revSolver
 }
 
-// ExtraRow is an additional inequality a·x (≤|≥) b over the structural
-// variables. Equality rows are not supported (branch bounds never need
-// them); pass two opposing inequalities instead.
-type ExtraRow struct {
-	Terms []Term
+// Bound is one extra bound x[Var] ≤ Value (Rel LE) or x[Var] ≥ Value
+// (Rel GE) on a structural variable: a branch-and-bound branch. To pin a
+// variable, pass both.
+type Bound struct {
+	Var   int
 	Rel   Rel
-	RHS   float64
+	Value float64
 }
 
 // SolveForWarmStart solves the problem and, when it is optimal, returns a
-// WarmStart for re-solving with extra rows. The returned Solution is the
+// WarmStart for re-solving with extra bounds. The returned Solution is the
 // base optimum (identical to Solve's).
 func (p *Problem) SolveForWarmStart(opt Options) (*WarmStart, Solution) {
 	if opt.Core == CoreSparse {
@@ -69,11 +68,11 @@ func (p *Problem) SolveForWarmStart(opt Options) (*WarmStart, Solution) {
 // Root returns the base problem's optimal solution.
 func (w *WarmStart) Root() Solution { return w.root }
 
-// ReSolve solves the base problem plus the extra rows, warm-starting the
+// ReSolve solves the base problem plus the extra bounds, warm-starting the
 // dual simplex from the base optimum. It falls back to a cold two-phase
 // solve if the dual iteration struggles (pivot cap), so the answer is
 // always as reliable as Solve's.
-func (w *WarmStart) ReSolve(extra []ExtraRow) Solution {
+func (w *WarmStart) ReSolve(extra []Bound) Solution {
 	if len(extra) == 0 {
 		return w.root
 	}
@@ -96,21 +95,19 @@ func (w *WarmStart) ReSolve(extra []ExtraRow) Solution {
 	costs := make([]float64, newN)
 	copy(costs, w.costs)
 
-	for k, ex := range extra {
+	for k, b := range extra {
+		if b.Var < 0 || b.Var >= nStruct {
+			return Solution{Status: Infeasible}
+		}
 		row := make([]float64, newN+1)
 		sign := 1.0
-		if ex.Rel == GE {
-			sign = -1 // a·x ≥ b  →  −a·x ≤ −b
+		if b.Rel == GE {
+			sign = -1 // x ≥ v  →  −x ≤ −v
 		}
-		for _, term := range ex.Terms {
-			if term.Var < 0 || term.Var >= nStruct {
-				return Solution{Status: Infeasible}
-			}
-			row[term.Var] += sign * term.Coef
-		}
+		row[b.Var] = sign
 		slack := oldN + k
 		row[slack] = 1
-		row[newN] = sign * ex.RHS
+		row[newN] = sign * b.Value
 		// Express the row in the current basis: eliminate every basic
 		// column using its defining row.
 		for i := 0; i < w.base.m; i++ {
@@ -163,58 +160,36 @@ func (w *WarmStart) ReSolve(extra []ExtraRow) Solution {
 }
 
 // coldExtra solves problem+extra from scratch on the warm start's own core,
-// the guaranteed-correct fallback shared by both ReSolve paths.
-func (w *WarmStart) coldExtra(extra []ExtraRow) Solution {
+// each bound added as a one-variable row: the guaranteed-correct fallback
+// shared by both ReSolve paths.
+func (w *WarmStart) coldExtra(extra []Bound) Solution {
 	q := w.problem.Clone()
-	for _, ex := range extra {
-		q.AddConstraint(ex.Terms, ex.Rel, ex.RHS)
+	for _, b := range extra {
+		q.AddConstraint([]Term{{Var: b.Var, Coef: 1}}, b.Rel, b.Value)
 	}
 	return q.SolveWithOptions(Options{Core: w.core})
 }
 
-// reSolveSparse re-solves the base problem plus the extra rows on the sparse
-// core. Single-variable rows — everything branch and bound generates — become
-// bound tightenings on a clone of the frozen optimal state: the reduced costs
-// are untouched (costs and basis are unchanged), so the point stays dual
-// feasible and the dual simplex repairs the handful of bound violations in a
-// few pivots on a basis that never grew. Multi-variable rows take the cold
-// fallback.
-func (w *WarmStart) reSolveSparse(extra []ExtraRow) Solution {
+// reSolveSparse re-solves the base problem plus the extra bounds on the
+// sparse core by tightening the bounds of a clone of the frozen optimal
+// state: the reduced costs are untouched (costs and basis are unchanged), so
+// the point stays dual feasible and the dual simplex repairs the handful of
+// bound violations in a few pivots on a basis that never grew.
+func (w *WarmStart) reSolveSparse(extra []Bound) Solution {
 	n := len(w.problem.obj)
-	single := true
-	for _, ex := range extra {
-		if len(ex.Terms) != 1 || ex.Terms[0].Coef == 0 || ex.Rel == EQ {
-			single = false
-		}
-		for _, t := range ex.Terms {
-			if t.Var < 0 || t.Var >= n {
-				return Solution{Status: Infeasible}
-			}
-		}
-	}
-	if !single {
-		return w.coldExtra(extra)
-	}
-
 	c := w.rev.cloneForReSolve()
 	pr := c.pr
-	for _, ex := range extra {
-		v, coef := ex.Terms[0].Var, ex.Terms[0].Coef
-		bound := ex.RHS / coef
-		rel := ex.Rel
-		if coef < 0 {
-			if rel == LE {
-				rel = GE
-			} else {
-				rel = LE
-			}
+	for _, b := range extra {
+		v := b.Var
+		if v < 0 || v >= n {
+			return Solution{Status: Infeasible}
 		}
-		if rel == LE {
-			if bound < pr.hi[v] {
-				pr.hi[v] = bound
+		if b.Rel == LE {
+			if b.Value < pr.hi[v] {
+				pr.hi[v] = b.Value
 			}
-		} else if bound > pr.lo[v] {
-			pr.lo[v] = bound
+		} else if b.Value > pr.lo[v] {
+			pr.lo[v] = b.Value
 		}
 		if pr.lo[v] > pr.hi[v]+1e-9 {
 			return Solution{Status: Infeasible}

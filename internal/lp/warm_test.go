@@ -21,19 +21,19 @@ func TestWarmStartBasic(t *testing.T) {
 		t.Fatalf("root: %v obj=%v", root.Status, root.Objective)
 	}
 	// Branch x ≤ 1: optimum becomes 3 + 5·6 = 33.
-	s := w.ReSolve([]ExtraRow{{Terms: []Term{{Var: x, Coef: 1}}, Rel: LE, RHS: 1}})
+	s := w.ReSolve([]Bound{{Var: x, Rel: LE, Value: 1}})
 	if s.Status != Optimal || !near(s.Objective, 33, 1e-8) {
 		t.Fatalf("x≤1: %v obj=%v, want 33", s.Status, s.Objective)
 	}
 	// Branch x ≥ 3: y ≤ (18−9)/2 = 4.5 → 9 + 22.5 = 31.5.
-	s = w.ReSolve([]ExtraRow{{Terms: []Term{{Var: x, Coef: 1}}, Rel: GE, RHS: 3}})
+	s = w.ReSolve([]Bound{{Var: x, Rel: GE, Value: 3}})
 	if s.Status != Optimal || !near(s.Objective, 31.5, 1e-8) {
 		t.Fatalf("x≥3: %v obj=%v, want 31.5", s.Status, s.Objective)
 	}
 	// Contradictory bounds → infeasible.
-	s = w.ReSolve([]ExtraRow{
-		{Terms: []Term{{Var: x, Coef: 1}}, Rel: GE, RHS: 3},
-		{Terms: []Term{{Var: x, Coef: 1}}, Rel: LE, RHS: 2},
+	s = w.ReSolve([]Bound{
+		{Var: x, Rel: GE, Value: 3},
+		{Var: x, Rel: LE, Value: 2},
 	})
 	if s.Status != Infeasible {
 		t.Fatalf("contradiction: %v, want infeasible", s.Status)
@@ -69,7 +69,7 @@ func TestWarmStartWithEqualityBase(t *testing.T) {
 		t.Fatalf("root: %v obj=%v", root.Status, root.Objective)
 	}
 	// Add y ≥ 7: x = 3, y = 7 → 6+21 = 27.
-	s := w.ReSolve([]ExtraRow{{Terms: []Term{{Var: y, Coef: 1}}, Rel: GE, RHS: 7}})
+	s := w.ReSolve([]Bound{{Var: y, Rel: GE, Value: 7}})
 	if s.Status != Optimal || !near(s.Objective, 27, 1e-8) {
 		t.Fatalf("y≥7: %v obj=%v, want 27", s.Status, s.Objective)
 	}
@@ -107,8 +107,8 @@ func TestReSolveLeavesBaseIntact(t *testing.T) {
 				t.Fatalf("root: %v", root.Status)
 			}
 			basis := baseBasis(w)
-			tight := []ExtraRow{{Terms: []Term{{Var: x, Coef: 1}}, Rel: LE, RHS: 1}}
-			loose := []ExtraRow{{Terms: []Term{{Var: y, Coef: 1}}, Rel: LE, RHS: 3}}
+			tight := []Bound{{Var: x, Rel: LE, Value: 1}}
+			loose := []Bound{{Var: y, Rel: LE, Value: 3}}
 			for i := 0; i < 50; i++ {
 				if s := w.ReSolve(tight); s.Status != Optimal || !near(s.Objective, 33, 1e-8) {
 					t.Fatalf("resolve %d (x ≤ 1): %v obj=%v, want 33", i, s.Status, s.Objective)
@@ -140,19 +140,19 @@ func TestWarmMatchesColdProperty(t *testing.T) {
 			return true // nothing to warm-start; covered elsewhere
 		}
 		// 1-3 random single-variable bounds around the optimum.
-		var extra []ExtraRow
+		var extra []Bound
 		q := p.Clone()
 		for k := 0; k < 1+r.Intn(3); k++ {
 			v := r.Intn(p.NumVars())
 			val := root.X[v]
-			var row ExtraRow
+			var row Bound
 			if r.Intn(2) == 0 {
-				row = ExtraRow{Terms: []Term{{Var: v, Coef: 1}}, Rel: LE, RHS: math.Floor(val)}
+				row = Bound{Var: v, Rel: LE, Value: math.Floor(val)}
 			} else {
-				row = ExtraRow{Terms: []Term{{Var: v, Coef: 1}}, Rel: GE, RHS: math.Ceil(val)}
+				row = Bound{Var: v, Rel: GE, Value: math.Ceil(val)}
 			}
 			extra = append(extra, row)
-			q.AddConstraint(row.Terms, row.Rel, row.RHS)
+			q.AddConstraint([]Term{{Var: row.Var, Coef: 1}}, row.Rel, row.Value)
 		}
 		warm := w.ReSolve(extra)
 		cold := q.Solve()
@@ -190,10 +190,10 @@ func TestWarmIsCheaperThanCold(t *testing.T) {
 			continue
 		}
 		v := r.Intn(p.NumVars())
-		row := ExtraRow{Terms: []Term{{Var: v, Coef: 1}}, Rel: LE, RHS: root.X[v] / 2}
-		warm := w.ReSolve([]ExtraRow{row})
+		row := Bound{Var: v, Rel: LE, Value: root.X[v] / 2}
+		warm := w.ReSolve([]Bound{row})
 		q := p.Clone()
-		q.AddConstraint(row.Terms, row.Rel, row.RHS)
+		q.AddConstraint([]Term{{Var: row.Var, Coef: 1}}, row.Rel, row.Value)
 		cold := q.Solve()
 		if warm.Status == Optimal && cold.Status == Optimal {
 			warmPiv += warm.Pivots

@@ -185,11 +185,8 @@ type node struct {
 	// already failed an incumbent repair, must be branched at zero tolerance
 }
 
-type branch struct {
-	v     int
-	rel   lp.Rel // LE (x ≤ val) or GE (x ≥ val)
-	value float64
-}
+// branch is one branching bound on an integer variable.
+type branch = lp.Bound
 
 type nodeHeap []*node
 
@@ -295,7 +292,7 @@ func (p *Problem) branchAndBound(opt Options, start time.Time, warm *lp.WarmStar
 		h            nodeHeap
 	)
 	relax := func(bs []branch) lp.Solution {
-		return warm.ReSolve(branchRows(bs))
+		return warm.ReSolve(bs)
 	}
 
 	process := func(bs []branch, sol lp.Solution) {
@@ -383,8 +380,8 @@ func (p *Problem) branchAndBound(opt Options, start time.Time, warm *lp.WarmStar
 			}
 		}
 		v := sol.X[fv]
-		downB := branch{fv, lp.LE, math.Floor(v)}
-		upB := branch{fv, lp.GE, math.Ceil(v)}
+		downB := branch{Var: fv, Rel: lp.LE, Value: math.Floor(v)}
+		upB := branch{Var: fv, Rel: lp.GE, Value: math.Ceil(v)}
 		for _, nb := range []branch{downB, upB} {
 			if hasBranch(it.bounds, nb) {
 				// The exact same bound row is already active, so re-adding it
@@ -473,7 +470,7 @@ func (p *Problem) repairIncumbent(bs []branch, sol lp.Solution, relax func([]bra
 		if !isInt || v >= len(x) {
 			continue
 		}
-		pins = append(pins, branch{v, lp.LE, x[v]}, branch{v, lp.GE, x[v]})
+		pins = append(pins, branch{Var: v, Rel: lp.LE, Value: x[v]}, branch{Var: v, Rel: lp.GE, Value: x[v]})
 	}
 	rs := relax(pins)
 	eff.absorb(rs)
@@ -485,19 +482,6 @@ func (p *Problem) repairIncumbent(bs []branch, sol lp.Solution, relax func([]bra
 		return nil, 0, eff, false
 	}
 	return rx, p.Problem.Eval(rx), eff, true
-}
-
-// branchRows converts accumulated branching bounds into warm-start rows.
-func branchRows(bs []branch) []lp.ExtraRow {
-	rows := make([]lp.ExtraRow, len(bs))
-	for i, b := range bs {
-		rows[i] = lp.ExtraRow{
-			Terms: []lp.Term{{Var: b.v, Coef: 1}},
-			Rel:   b.rel,
-			RHS:   b.value,
-		}
-	}
-	return rows
 }
 
 // dive greedily rounds the most fractional variable of the node's relaxation
@@ -534,8 +518,8 @@ func (p *Problem) dive(it *node, relax func([]branch) lp.Solution, opt Options, 
 			return nil, 0, nodes, eff
 		}
 		v := sol.X[fv]
-		near := branch{fv, lp.LE, math.Floor(v)}
-		far := branch{fv, lp.GE, math.Ceil(v)}
+		near := branch{Var: fv, Rel: lp.LE, Value: math.Floor(v)}
+		far := branch{Var: fv, Rel: lp.GE, Value: math.Ceil(v)}
 		if v-math.Floor(v) > 0.5 {
 			near, far = far, near
 		}

@@ -41,8 +41,8 @@ func (r *recordingDecider) Decide(in core.HourInput) (core.Decision, error) {
 // sim's per-hour budget, demand, load and premium — then goes to capperd
 // over HTTP as resilient decides, with a state directory of its own. Every
 // decision must be identical, and both directories must hold the same
-// records in every field but spentUSD, which only the sim knows, and the
-// solver's wall time, which no two runs share.
+// records in every field but spentUSD, which only the sim knows. No record
+// carries a wall-clock field, so nothing else needs clearing.
 func TestSimAndCapperdRecordTheSameHours(t *testing.T) {
 	cfg, err := PaperScenario(pricing.Policy1, TightBudget())
 	if err != nil {
@@ -149,8 +149,8 @@ func sameDecision(got api.DecideResponse, want core.Decision) string {
 	return ""
 }
 
-// walEntries reads a state directory's WAL, clearing the two fields only
-// one driver can fill: the hour's spend and the solver's wall time.
+// walEntries reads a state directory's WAL, clearing the one field only one
+// driver can fill: the hour's spend.
 func walEntries(t *testing.T, dir string) []state.Entry {
 	t.Helper()
 	f, err := os.Open(filepath.Join(dir, "wal.log"))
@@ -167,7 +167,6 @@ func walEntries(t *testing.T, dir string) []state.Entry {
 			t.Fatal(err)
 		}
 		rec.V.SpentUSD = 0
-		clearWallTime(rec.V.Resilient)
 		out = append(out, rec.V)
 	}
 	if err := sc.Err(); err != nil {
@@ -198,12 +197,5 @@ func checkpointAt(t *testing.T, dir, name string) state.Checkpoint {
 	if err := json.Unmarshal(data, &rec); err != nil {
 		t.Fatal(err)
 	}
-	clearWallTime(rec.V.Resilient)
 	return rec.V
-}
-
-func clearWallTime(ls *core.ResilientState) {
-	if ls != nil && ls.LastGood != nil {
-		ls.LastGood.Solver.WallTime = 0
-	}
 }

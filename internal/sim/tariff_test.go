@@ -245,6 +245,10 @@ func TestTariffMonthWithBatteryAndDemandCharge(t *testing.T) {
 			}
 		}
 	}
+	if res.CapViolationHours != 0 || res.TotalPenaltyUSD != 0 {
+		t.Errorf("%d hours metered over a cap ($%v in penalties), want none",
+			res.CapViolationHours, res.TotalPenaltyUSD)
+	}
 }
 
 // TestChaosSoakTariffLedger extends the crash-restart soak to the tariff
@@ -319,13 +323,45 @@ func TestChaosSoakTariffLedger(t *testing.T) {
 	}
 }
 
+// overchargeDecider plans the wrapped decider's hours, then, in every hour
+// where one site's battery can take it, overrides that site's battery plan
+// to charge δ = 0.5 MW past the supplier cap: the IT draw stays within the
+// cap and only the meter goes over.
+type overchargeDecider struct {
+	Decider
+	caps     []float64
+	injected map[int]bool
+}
+
+func (d *overchargeDecider) Decide(in core.HourInput) (core.Decision, error) {
+	dec, err := d.Decider.Decide(in)
+	if err != nil {
+		return dec, err
+	}
+	for i, a := range dec.Sites {
+		if !a.On || i >= len(in.Batteries) || in.SiteDown(i) {
+			continue
+		}
+		b := in.Batteries[i]
+		need := d.caps[i] - a.PowerMW + 0.5
+		if need > b.MaxChargeMW || need*b.Efficiency > b.CapacityMWh-b.SoCMWh {
+			continue
+		}
+		dec.Sites = append([]core.SiteAlloc(nil), dec.Sites...)
+		dec.Sites[i].ChargeMW, dec.Sites[i].DischargeMW = need, 0
+		d.injected[in.Hour] = true
+		break
+	}
+	return dec, nil
+}
+
 // TestCapViolationHoursCountMeteredDraw pins that Result.CapViolationHours
 // counts the hours whose metered grid draw — IT power plus battery charge
 // minus discharge, the reading the supplier bills and penalizes — exceeds a
-// cap, not the pre-battery IT draw. With batteries the two differ: at this
-// seed the tight-budget fortnight charges cap penalties in hours whose IT
-// draw alone is within every cap, and a count taken before the meter
-// reported 0 violation hours next to a nonzero penalty.
+// cap, not the pre-battery IT draw. The planner leaves every meter within
+// its cap, so the over-cap hours come from a decider that charges a battery
+// past the cap while the IT draw stays within it: a count taken before the
+// meter would report 0 violation hours next to a nonzero penalty.
 func TestCapViolationHoursCountMeteredDraw(t *testing.T) {
 	cfg, err := ShortScenario(pricing.Policy1, TightBudget(), 2)
 	if err != nil {
@@ -333,9 +369,16 @@ func TestCapViolationHoursCountMeteredDraw(t *testing.T) {
 	}
 	cfg.DemandChargeUSDPerMWMonth = 1200
 	cfg.Batteries = testBatteries(len(cfg.DCs))
-	res, err := Run(cfg, mustCapping(t, cfg))
+	dec := &overchargeDecider{Decider: mustCapping(t, cfg), injected: map[int]bool{}}
+	for _, dc := range cfg.DCs {
+		dec.caps = append(dec.caps, dc.PowerCapMW)
+	}
+	res, err := Run(cfg, dec)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(dec.injected) == 0 {
+		t.Fatal("test setup: no hour had the battery room to charge past a cap")
 	}
 	metered := 0
 	for _, h := range res.Hours {
@@ -343,6 +386,14 @@ func TestCapViolationHoursCountMeteredDraw(t *testing.T) {
 			metered++
 			if h.PenaltyUSD <= 0 {
 				t.Errorf("hour %d: %d metered cap violations but no penalty", h.Hour, h.CapViolations)
+			}
+		}
+		if over := h.CapViolations > 0; over != dec.injected[h.Hour] {
+			t.Errorf("hour %d: metered over a cap %v, charged past one %v", h.Hour, over, dec.injected[h.Hour])
+		}
+		for i, p := range h.SitePowerMW {
+			if p > dec.caps[i]+1e-9 {
+				t.Errorf("hour %d site %d: IT draw %v MW over the %v MW cap", h.Hour, i, p, dec.caps[i])
 			}
 		}
 	}
