@@ -33,17 +33,23 @@ func main() {
 	}
 }
 
-func run(exp string, weeks int, seriesDir, format string) error {
-	var render func(experiments.Result) string
+// renderer returns the table renderer for an output format.
+func renderer(format string) (func(experiments.Result) string, error) {
 	switch format {
 	case "text":
-		render = experiments.Result.Render
+		return experiments.Result.Render, nil
 	case "md":
-		render = func(r experiments.Result) string { return r.Table.RenderMarkdown() }
+		return func(r experiments.Result) string { return r.Table.RenderMarkdown() }, nil
 	case "csv":
-		render = func(r experiments.Result) string { return r.Table.RenderCSV() }
-	default:
-		return fmt.Errorf("unknown format %q (want text, md or csv)", format)
+		return func(r experiments.Result) string { return r.Table.RenderCSV() }, nil
+	}
+	return nil, fmt.Errorf("unknown format %q (want text, md or csv)", format)
+}
+
+func run(exp string, weeks int, seriesDir, format string) error {
+	render, err := renderer(format)
+	if err != nil {
+		return err
 	}
 	type runner func() (experiments.Result, error)
 	wrap := func(f func(int) (experiments.Result, error)) runner {

@@ -2,7 +2,7 @@
 // compiled into a dispatch.Snapshot — exactly as the API's /v1/route path
 // does — and hammered from many goroutines, reporting routes/sec for the
 // per-request path (one atomic fetch-add + array read per route) and the
-// closed-form batch path.
+// closed-form batch path, plus the median time to compile the snapshot.
 //
 // Usage:
 //
@@ -21,6 +21,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,6 +45,7 @@ type report struct {
 	Goroutines   int        `json:"goroutines"`
 	BatchSize    int        `json:"batchSize"`
 	PatternLen   int        `json:"patternLen"`
+	CompileUS    float64    `json:"compileUS"` // median NewSnapshot wall time
 	SolvedHour   bool       `json:"solvedHour"`
 	PerRequest   pathResult `json:"perRequest"`
 	Batch        pathResult `json:"batch"`
@@ -51,11 +53,12 @@ type report struct {
 	Conservation bool       `json:"conservation"` // counters summed to routes issued
 }
 
-// decisionSnapshot solves one uncapped paper hour at ~60% of capacity and
-// compiles the decision, proving the full decision→snapshot path. For fleet
-// sizes beyond the paper's three sites the loads are synthesized instead
-// (the data plane does not care where the weights came from).
-func decisionSnapshot(sites int) (*dispatch.Snapshot, bool) {
+// decision solves one uncapped paper hour at ~60% of capacity and returns
+// its per-site loads and ordinary gate pair, proving the full
+// decision→snapshot path. For fleet sizes beyond the paper's three sites the
+// loads are synthesized instead (the data plane does not care where the
+// weights came from).
+func decision(sites int) (lambdas []float64, served, arrived float64, solved bool) {
 	if sites == 3 {
 		sys, err := core.NewSystem(dcmodel.PaperSites(), pricing.PaperPolicies(pricing.Policy1), core.Options{})
 		if err != nil {
@@ -72,21 +75,37 @@ func decisionSnapshot(sites int) (*dispatch.Snapshot, bool) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		snap, err := dispatch.NewSnapshot(dec.Lambdas(), dec.ServedOrdinary, total-in.PremiumLambda, 0, 1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return snap, true
+		return dec.Lambdas(), dec.ServedOrdinary, total - in.PremiumLambda, true
 	}
-	lambdas := make([]float64, sites)
+	lambdas = make([]float64, sites)
 	for i := range lambdas {
 		lambdas[i] = float64(1 + (i*7919)%97)
 	}
-	snap, err := dispatch.NewSnapshot(lambdas, 80, 100, 0, 1)
+	return lambdas, 80, 100, false
+}
+
+func compile(lambdas []float64, served, arrived float64) *dispatch.Snapshot {
+	snap, err := dispatch.NewSnapshot(lambdas, served, arrived, 0, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	return snap, false
+	return snap
+}
+
+// compileRuns is how many NewSnapshot calls compileMedianUS times.
+const compileRuns = 21
+
+// compileMedianUS is the median wall time of compileRuns NewSnapshot calls
+// on one decision, in microseconds.
+func compileMedianUS(lambdas []float64, served, arrived float64) float64 {
+	times := make([]float64, compileRuns)
+	for i := range times {
+		start := time.Now()
+		compile(lambdas, served, arrived)
+		times[i] = float64(time.Since(start).Nanoseconds()) / 1e3
+	}
+	sort.Float64s(times)
+	return times[compileRuns/2]
 }
 
 // drive runs fn from g goroutines until the duration elapses, returning the
@@ -127,7 +146,8 @@ func main() {
 		log.Fatalf("bad flags: sites=%d goroutines=%d batch=%d duration=%v", *sites, *goroutines, *batch, *duration)
 	}
 
-	snap, solved := decisionSnapshot(*sites)
+	lambdas, served, arrived, solved := decision(*sites)
+	snap := compile(lambdas, served, arrived)
 	rep := report{
 		Bench:       "lock-free routing snapshot (Webster wheel), routes/sec",
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
@@ -135,9 +155,11 @@ func main() {
 		Goroutines:  *goroutines,
 		BatchSize:   *batch,
 		PatternLen:  snap.PatternLen(),
+		CompileUS:   compileMedianUS(lambdas, served, arrived),
 		SolvedHour:  solved,
 		MinGateRate: *minRate,
 	}
+	fmt.Printf("compile: %d-slot wheel in %.1f µs (median of %d)\n", rep.PatternLen, rep.CompileUS, compileRuns)
 
 	routes, wall := drive(*goroutines, *duration, func() int64 {
 		snap.Route()
@@ -150,7 +172,7 @@ func main() {
 	fmt.Printf("per-request: %d routes in %v from %d goroutines = %.0f routes/s\n",
 		routes, wall.Round(time.Millisecond), *goroutines, rep.PerRequest.RoutesPerSec)
 
-	bsnap, _ := decisionSnapshot(*sites)
+	bsnap := compile(lambdas, served, arrived)
 	n := int64(*batch)
 	broutes, bwall := drive(*goroutines, *duration, func() int64 {
 		bsnap.RouteBatch(*batch)

@@ -191,9 +191,7 @@ type errorBody struct {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // the status line is already out; nothing to recover
+	_ = json.NewEncoder(w).Encode(v) // the status line is already out; nothing to recover
 }
 
 func writeErr(w http.ResponseWriter, status int, err error) {

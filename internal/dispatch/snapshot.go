@@ -29,7 +29,8 @@ import (
 // n·weight. Each full cycle routes exactly the largest-remainder
 // apportionment of patternLen requests, so across m wrapped cycles the
 // worst per-site deviation grows only as m·|cycleCount − patternLen·w| < m
-// — at the default 65536-entry wheel, under 0.002% of the routed volume.
+// — the wheel is sized per fleet but never below 4096 slots, so that is
+// under 0.025% of the routed volume.
 //
 // Admission is the same trick: an atomic ordinal k admits the ordinary
 // request iff ⌊rate·k⌋ > ⌊rate·(k−1)⌋, deterministic largest-remainder
@@ -69,9 +70,9 @@ const (
 	countShardCount = 64
 )
 
-// patternLen picks the wheel size for n sites: the smallest power of two
-// giving every site ≈patternFill slots per cycle, clamped to
-// [minPatternLen, maxPatternLen].
+// patternLen picks the wheel size for n routed sites (sites with positive
+// load): the smallest power of two giving every routed site ≈patternFill
+// slots per cycle, clamped to [minPatternLen, maxPatternLen].
 func patternLen(n int) int {
 	l := minPatternLen
 	for l < n*patternFill && l < maxPatternLen {
@@ -87,6 +88,13 @@ func patternLen(n int) int {
 // clamped to 1, and 1 when nothing ordinary arrived), hour is the
 // decision's hour index, and version is the control plane's swap counter,
 // carried so routed responses can say which table answered.
+//
+// The wheel is sized and filled over the routed sites (positive load)
+// only. A zero-load site's credit stays exactly 0 while the routed credits
+// sum to ≈1 after each add, so some routed site always holds strictly more
+// and a zero-load site never wins a slot. Leaving it out changes no slot,
+// and the compile cost grows with the sites that get traffic, not with the
+// fleet.
 func NewSnapshot(lambdas []float64, servedOrdinary, arrivedOrdinary float64, hour int, version uint64) (*Snapshot, error) {
 	n := len(lambdas)
 	if n > math.MaxUint16 {
@@ -117,7 +125,13 @@ func NewSnapshot(lambdas []float64, servedOrdinary, arrivedOrdinary float64, hou
 	if arrivedOrdinary > 0 {
 		rate = math.Min(1, servedOrdinary/arrivedOrdinary)
 	}
-	l := patternLen(n)
+	routed := make([]int, 0, n) // indices of the sites with positive load
+	for i, v := range lambdas {
+		if v > 0 {
+			routed = append(routed, i)
+		}
+	}
+	l := patternLen(len(routed))
 	s := &Snapshot{
 		weights:      make([]float64, n),
 		ordinaryRate: rate,
@@ -131,22 +145,27 @@ func NewSnapshot(lambdas []float64, servedOrdinary, arrivedOrdinary float64, hou
 	for i, v := range lambdas {
 		s.weights[i] = v / total
 	}
-	// Largest-remainder wheel: each request credits every site its weight
-	// and goes to the site with the most credit, which then pays one
-	// request back.
-	credit := make([]float64, n)
+	// Largest-remainder wheel: each request credits every routed site its
+	// weight and goes to the site with the most credit (the first on a tie),
+	// which then pays one request back.
+	weights := make([]float64, len(routed))
+	for j, i := range routed {
+		weights[j] = s.weights[i]
+	}
+	credit := make([]float64, len(routed))
 	for k := range s.pattern {
 		best, bestCredit := 0, math.Inf(-1)
-		for i, w := range s.weights {
-			credit[i] += w
-			if credit[i] > bestCredit {
-				bestCredit = credit[i]
-				best = i
+		for j, w := range weights {
+			credit[j] += w
+			if credit[j] > bestCredit {
+				bestCredit = credit[j]
+				best = j
 			}
 		}
 		credit[best]--
-		s.pattern[k] = uint16(best)
-		s.perCycle[best]++
+		site := routed[best]
+		s.pattern[k] = uint16(site)
+		s.perCycle[site]++
 	}
 	// Pad each stripe to a cache line so neighboring shards never share one.
 	padded := (n + 7) &^ 7

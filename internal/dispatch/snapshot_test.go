@@ -210,3 +210,118 @@ func TestSnapshotDroppedOrdinary(t *testing.T) {
 		t.Error("arrival accounting off")
 	}
 }
+
+// sparseLoads draws n seeded loads with about a third of the sites at zero
+// load and at least one routed (positive) site.
+func sparseLoads(r *rand.Rand, n int) []float64 {
+	lambdas := make([]float64, n)
+	for i := range lambdas {
+		if r.Intn(3) != 0 {
+			lambdas[i] = r.Float64() * 1e12
+		}
+	}
+	lambdas[r.Intn(n)] += 1
+	return lambdas
+}
+
+// TestSnapshotSkipsZeroLoadSites: the wheel is sized and filled over the
+// routed sites only, and every slot is still the one a fresh Table routes
+// over the whole fleet — zero-load sites included — at the same ordinal.
+// Fleet sizes run from 1 to 300 in steps that widen with N, which keeps the
+// O(PatternLen·N) oracle affordable under the race detector.
+func TestSnapshotSkipsZeroLoadSites(t *testing.T) {
+	r := rand.New(rand.NewSource(18))
+	var cases [][]float64
+	for n := 1; n < 300; n += 1 + n/8 {
+		cases = append(cases, sparseLoads(r, n))
+	}
+	cases = append(cases, sparseLoads(r, 300))
+	lone := make([]float64, 200)
+	lone[137] = 5e11
+	cases = append(cases, lone)
+	for _, lambdas := range cases {
+		snap := mustSnapshot(t, lambdas, 1, 1)
+		tbl, err := NewTable(lambdas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		routed := 0
+		for _, l := range lambdas {
+			if l > 0 {
+				routed++
+			}
+		}
+		if got, want := snap.PatternLen(), patternLen(routed); got != want {
+			t.Fatalf("N=%d with %d routed: PatternLen %d, want %d", len(lambdas), routed, got, want)
+		}
+		for k, site := range snap.pattern {
+			if lambdas[site] == 0 {
+				t.Fatalf("N=%d: slot %d routes to zero-load site %d", len(lambdas), k, site)
+			}
+			if want := tbl.Route(); int(site) != want {
+				t.Fatalf("N=%d: slot %d is site %d, Table routes %d", len(lambdas), k, site, want)
+			}
+		}
+	}
+}
+
+// TestSnapshotDiscrepancyProperty: over one full wheel cycle with zero-load
+// sites present, every prefix of n routed requests keeps each site within
+// ±1.5 of n·weight.
+func TestSnapshotDiscrepancyProperty(t *testing.T) {
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		snap := mustSnapshot(t, sparseLoads(r, 2+r.Intn(150)), 1, 1)
+		w := snap.Weights()
+		counts := make([]float64, len(w))
+		for n := 1; n <= snap.PatternLen(); n++ {
+			for i, c := range snap.RouteN(1) {
+				counts[i] += float64(c)
+			}
+			for i := range counts {
+				if math.Abs(counts[i]-float64(n)*w[i]) > 1.5 {
+					t.Logf("seed %d: site %d off by %v after %d", seed, i, counts[i]-float64(n)*w[i], n)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkNewSnapshot times one wheel compile: the paper's 3 sites, a
+// 13-site tariff fleet, a 200-site fleet with half its sites unrouted, and
+// 500 sites all routed.
+func BenchmarkNewSnapshot(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	loads := func(n int, zeroEvery int) []float64 {
+		lambdas := make([]float64, n)
+		for i := range lambdas {
+			if zeroEvery == 0 || i%zeroEvery != 0 {
+				lambdas[i] = 1 + r.Float64()*1e12
+			}
+		}
+		return lambdas
+	}
+	for _, c := range []struct {
+		name    string
+		lambdas []float64
+	}{
+		{"N=3", loads(3, 0)},
+		{"N=13", loads(13, 0)},
+		{"N=200/half-zero", loads(200, 2)},
+		{"N=500", loads(500, 0)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewSnapshot(c.lambdas, 1, 1, 0, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
